@@ -265,11 +265,30 @@ def glued_sum(bottom_part: Lattice, top_part: Lattice) -> Lattice:
     second, so the result has n = |K| + |L| - 1 elements.  Associative, not
     commutative.
     """
-    shift = bottom_part.n - 1
-    n = bottom_part.n + top_part.n - 1
-    pairs = list(bottom_part.covers)
-    pairs += [(i + shift, j + shift) for i, j in top_part.covers]
-    return from_covers(n, pairs)
+    return _glued_sum_all([bottom_part, top_part])
+
+
+def _glued_sum_all(parts: list[Lattice]) -> Lattice:
+    """Glued sum of the parts from bottom to top, built by one from_covers."""
+    pairs: list[tuple[int, int]] = []
+    shift = 0
+    for part in parts:
+        pairs += [(i + shift, j + shift) for i, j in part.covers]
+        shift += part.n - 1
+    return from_covers(shift + 1, pairs)
+
+
+def glued_cuts(lat: Lattice) -> tuple[int, ...]:
+    """Indices of the elements comparable to every element, ascending.
+
+    These cut the lattice into its glued-sum blocks.  In any linear
+    extension the block between consecutive cuts lo and hi is exactly the
+    index range lo..hi, and joins and meets of its elements stay inside it.
+    """
+    full = lat.full_mask
+    leq = lat.leq
+    geq = lat.geq
+    return tuple(x for x in range(lat.n) if leq[x] | geq[x] == full)
 
 
 def direct_product(left: Lattice, right: Lattice) -> Lattice:
@@ -486,10 +505,23 @@ def evaluate(tree: Expr) -> Lattice:
     if isinstance(tree, Atom):
         return named(tree.name)
     if isinstance(tree, GluedSum):
-        return glued_sum(evaluate(tree.left), evaluate(tree.right))
+        return _glued_sum_all([evaluate(t) for t in _summands(tree)])
     if isinstance(tree, DirectProduct):
         return direct_product(evaluate(tree.left), evaluate(tree.right))
     raise TypeError(f"not an expression node: {tree!r}")
+
+
+def _summands(tree: Expr) -> list[Expr]:
+    """The non-sum terms of a run of nested glued sums, bottom to top."""
+    out: list[Expr] = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, GluedSum):
+            stack += [node.right, node.left]
+        else:
+            out.append(node)
+    return out
 
 
 def build_expression(text: str) -> Lattice:

@@ -14,8 +14,8 @@ from itertools import combinations
 from typing import Optional
 
 from . import canon
-from .core import Lattice, SizeLimit, mask_of, named, sublattice
-from .subuniverse import _closed_masks
+from .core import Lattice, SizeLimit, glued_cuts, mask_of, named, sublattice
+from .subuniverse import enumerate_subuniverses
 
 CHAIN = "Chain"
 GLUED_B4 = "GluedB4"
@@ -26,8 +26,7 @@ ENUM_LIMIT = 14  # characterization check enumerates all subuniverses
 
 
 def is_chain(lat: Lattice) -> bool:
-    full = lat.full_mask
-    return all(lat.leq[i] | lat.geq[i] == full for i in range(lat.n))
+    return len(glued_cuts(lat)) == lat.n
 
 
 def find_antichain(lat: Lattice, k: int) -> Optional[tuple[int, ...]]:
@@ -68,10 +67,8 @@ def doubly_irreducibles(lat: Lattice) -> tuple[int, ...]:
 
 def isolated_elements(lat: Lattice) -> tuple[int, ...]:
     """Doubly irreducible elements comparable to every element."""
-    full = lat.full_mask
-    return tuple(
-        u for u in doubly_irreducibles(lat) if lat.leq[u] | lat.geq[u] == full
-    )
+    cuts = set(glued_cuts(lat))
+    return tuple(u for u in doubly_irreducibles(lat) if u in cuts)
 
 
 def isolated_edges(lat: Lattice) -> tuple[tuple[int, int], ...]:
@@ -93,7 +90,7 @@ def isolated_characterization_holds(lat: Lattice, u: int) -> bool:
             f"characterization check bounded at n <= {ENUM_LIMIT}, got {lat.n}"
         )
     lat._check(u)
-    masks = set(_closed_masks(lat))
+    masks = {s.mask for s in enumerate_subuniverses(lat)}
     bit = 1 << u
     return all(m | bit in masks and m & ~bit in masks for m in masks)
 
@@ -117,10 +114,7 @@ def decompose_glued_sum(lat: Lattice) -> GluedDecomposition:
     linearly ordered, every element lies between two consecutive cuts, and
     each block occupies a contiguous index range.
     """
-    full = lat.full_mask
-    cuts = tuple(
-        x for x in range(lat.n) if lat.leq[x] | lat.geq[x] == full
-    )
+    cuts = glued_cuts(lat)
     blocks = []
     for lo, hi in zip(cuts, cuts[1:]):
         blocks.append(sublattice(lat, mask_of(range(lo, hi + 1))))
@@ -151,16 +145,15 @@ def _named_form(name: str) -> bytes:
 def classify(lat: Lattice) -> Classification:
     """Match the lattice against the three extremal-count shapes."""
     n = lat.n
-    if is_chain(lat):
+    cuts = glued_cuts(lat)
+    if len(cuts) == n:
         return Classification(CHAIN, 1 << n)
-    decomposition = decompose_glued_sum(lat)
-    big = [b for b in decomposition.blocks if b.n > 2]
-    if len(big) == 1:
-        core = big[0]
+    big = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
+    # only a 4- or 5-element core can be B4 or N5
+    if len(big) == 1 and big[0][1] - big[0][0] + 1 in (4, 5):
+        lo, hi = big[0]
+        core = sublattice(lat, mask_of(range(lo, hi + 1)))
         form = canon.canonical_form(core)
-        # the core occupies a contiguous index range starting at its low cut
-        lo = [c for c, b in zip(decomposition.cuts, decomposition.blocks) if b.n > 2][0]
-        hi = lo + core.n - 1
         if form == _named_form("B4"):
             return Classification(
                 GLUED_B4, 13 << (n - 4), prefix=lo, suffix=n - 1 - hi, core=core

@@ -1,19 +1,19 @@
 """Counting and enumerating subuniverses (join/meet-closed subsets) of a lattice.
 
 The empty set counts as a subuniverse; the nonempty ones are exactly the
-sublattices.  The workhorse counter is a depth-first scan over element
-indices in linear-extension order: meets of a newly added element with the
-current set land at smaller indices (already decided, so closure violations
-prune immediately), while joins land at larger indices and become forced
-inclusions.  Elements that are comparable to everything and doubly
-irreducible each contribute an exact factor of 2 and are stripped before the
-scan, which is what makes chains O(1) instead of O(2^n).
+sublattices.  One pruned depth-first scan (``_scan``) visits the closed
+subsets of an index range in linear-extension order.  Counting splits the
+lattice at its cuts (elements comparable to everything) into glued blocks,
+tallies each block's closed subsets by whether they hold the block's bottom
+and top, and multiplies those 2x2 tables; a 2-element block needs no scan,
+which is what makes chains O(n) instead of O(2^n).  Enumeration runs the
+same scan over the whole lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .core import (
     EmptyGenerator,
@@ -21,8 +21,8 @@ from .core import (
     Lattice,
     SizeLimit,
     bit_indices,
+    glued_cuts,
     mask_of,
-    sublattice,
 )
 
 ENUM_LIMIT = 20  # full-enumeration operations refuse larger inputs
@@ -94,97 +94,78 @@ def generated_sublattice(
         mask = new
 
 
-def _closed_mask_count(lat: Lattice) -> int:
-    """Count closed subsets by the pruned index-order scan."""
-    n = lat.n
+def _scan(lat: Lattice, lo: int, hi: int, leaf: Callable[[int], object]) -> None:
+    """Call ``leaf(mask)`` once for each closed subset of the indices lo..hi.
+
+    The range must be closed under join and meet: the whole lattice, or one
+    glued block between consecutive cuts.  Elements are decided in index
+    order, a linear extension, so the meet of a new element with a chosen
+    one lands on an index already decided (a missing meet prunes at once)
+    and the join lands on a later index (a forced inclusion).
+    """
     join_table = lat.join_table
     meet_table = lat.meet_table
 
-    def rec(e: int, chosen_mask: int, chosen: list[int], required: int) -> int:
-        if e == n:
-            return 1
+    def rec(e: int, chosen_mask: int, chosen: list[int], required: int) -> None:
         bit = 1 << e
-        total = 0
-        if not required & bit:
-            total += rec(e + 1, chosen_mask, chosen, required)
-        jrow = join_table[e]
-        mrow = meet_table[e]
-        new_required = required & ~bit
-        for c in chosen:
-            if not chosen_mask >> mrow[c] & 1:
-                return total  # a meet fell outside: no extension includes e
-            j = jrow[c]
-            if j != e:
-                new_required |= 1 << j
-        chosen.append(e)
-        total += rec(e + 1, chosen_mask | bit, chosen, new_required)
-        chosen.pop()
-        return total
-
-    return rec(0, 0, [], 0)
-
-
-def _closed_masks(lat: Lattice) -> Iterator[int]:
-    """Yield every closed subset once, by the same pruned scan."""
-    n = lat.n
-    join_table = lat.join_table
-    meet_table = lat.meet_table
-
-    def rec(e: int, chosen_mask: int, chosen: list[int], required: int):
-        if e == n:
-            yield chosen_mask
+        if e == hi:
+            # the range's top: its meet with a chosen element is that
+            # element and its join is itself, so it may always be added
+            if not required & bit:
+                leaf(chosen_mask)
+            leaf(chosen_mask | bit)
             return
-        bit = 1 << e
         if not required & bit:
-            yield from rec(e + 1, chosen_mask, chosen, required)
+            rec(e + 1, chosen_mask, chosen, required)
         jrow = join_table[e]
         mrow = meet_table[e]
         new_required = required & ~bit
         for c in chosen:
             if not chosen_mask >> mrow[c] & 1:
-                return
+                return  # a meet fell outside: no extension includes e
             j = jrow[c]
             if j != e:
                 new_required |= 1 << j
         chosen.append(e)
-        yield from rec(e + 1, chosen_mask | bit, chosen, new_required)
+        rec(e + 1, chosen_mask | bit, chosen, new_required)
         chosen.pop()
 
-    yield from rec(0, 0, [], 0)
+    rec(lo, 0, [], 0)
 
 
-def _isolated_mask(lat: Lattice) -> int:
-    # doubly irreducible (at most one cover on each side) and comparable to
-    # every element; each such element doubles the subuniverse count exactly
-    m = 0
-    full = lat.full_mask
-    for u in range(lat.n):
-        if (
-            len(lat.lower_covers[u]) <= 1
-            and len(lat.upper_covers[u]) <= 1
-            and lat.leq[u] | lat.geq[u] == full
-        ):
-            m |= 1 << u
-    return m
+# closed subsets of a 2-element block {lo, hi}: all four, one per end pattern
+_EDGE_TABLE = ((1, 1), (1, 1))
+
+
+def _end_table(lat: Lattice, lo: int, hi: int) -> Sequence[Sequence[int]]:
+    """Closed subsets of the block lo..hi, tallied as table[lo in][hi in]."""
+    if hi == lo + 1:
+        return _EDGE_TABLE
+    table = [[0, 0], [0, 0]]
+
+    def tally(mask: int) -> None:
+        table[mask >> lo & 1][mask >> hi & 1] += 1
+
+    _scan(lat, lo, hi, tally)
+    return table
 
 
 def count_subuniverses(lat: Lattice) -> int:
-    """Exact number of subuniverses.
+    """Exact number of subuniverses, by a transfer matrix over glued blocks.
 
-    Strips comparable-to-everything doubly irreducible elements first (factor
-    2 each: any closed set stays closed when such an element is added or
-    removed), then runs the pruned scan on what is left.  Agrees with
-    count_subuniverses_naive everywhere both run.
+    Every element of a block lies below every element of the blocks above
+    it, so a subset is closed exactly when its trace on each block is; the
+    blocks share only their end cuts.  A vector indexed by whether the
+    current cut is in the subset is folded through each block's 2x2 table
+    of closed subsets by end pattern.  Agrees with count_subuniverses_naive
+    everywhere both run.
     """
-    factor = 1
-    while True:
-        iso = _isolated_mask(lat)
-        if iso == lat.full_mask:
-            return factor << lat.n
-        if not iso:
-            return factor * _closed_mask_count(lat)
-        factor <<= iso.bit_count()
-        lat = sublattice(lat, lat.full_mask & ~iso)
+    cuts = glued_cuts(lat)
+    out, into = 1, 1  # the bottom may be out of or in the subset
+    for lo, hi in zip(cuts, cuts[1:]):
+        t = _end_table(lat, lo, hi)
+        out, into = out * t[0][0] + into * t[1][0], out * t[0][1] + into * t[1][1]
+    return out + into
 
 
 def count_subuniverses_naive(lat: Lattice) -> int:
@@ -203,9 +184,9 @@ def enumerate_subuniverses(lat: Lattice) -> Iterator[Subuniverse]:
     """Yield every subuniverse once, ordered by size then member tuple."""
     if lat.n > ENUM_LIMIT:
         raise SizeLimit(f"enumeration bounded at n <= {ENUM_LIMIT}, got {lat.n}")
-    masks = sorted(
-        _closed_masks(lat), key=lambda m: (m.bit_count(), tuple(bit_indices(m)))
-    )
+    masks: list[int] = []
+    _scan(lat, 0, lat.n - 1, masks.append)
+    masks.sort(key=lambda m: (m.bit_count(), tuple(bit_indices(m))))
     for mask in masks:
         yield Subuniverse(mask)
 
@@ -219,4 +200,6 @@ def trace_count(lat: Lattice, subset: Union[int, Iterable[int], Subuniverse]) ->
     if lat.n > ENUM_LIMIT:
         raise SizeLimit(f"trace count bounded at n <= {ENUM_LIMIT}, got {lat.n}")
     h = _as_mask(lat, subset)
-    return len({m & h for m in _closed_masks(lat)})
+    masks: list[int] = []
+    _scan(lat, 0, lat.n - 1, masks.append)
+    return len({m & h for m in masks})

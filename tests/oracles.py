@@ -48,6 +48,29 @@ def random_relabeling(lat: Lattice, rng: random.Random) -> Lattice:
     return from_covers(lat.n, pairs)
 
 
+def glued_count_bruteforce(blocks: list[Lattice]) -> int:
+    """Subuniverse count of the glued sum of ``blocks``, bottom to top.
+
+    Every subset of each block is tested against the block's own join and
+    meet.  The closed ones are tallied by whether they hold the block's
+    bottom and top, and the tallies are chained through the shared ends.
+    """
+    vec = [1, 1]  # the bottom of the sum out of / in the subset
+    for blk in blocks:
+        n = blk.n
+        table = [[0, 0], [0, 0]]
+        for mask in range(1 << n):
+            members = [i for i in range(n) if mask >> i & 1]
+            if all(
+                mask >> blk.join(a, b) & 1 and mask >> blk.meet(a, b) & 1
+                for a in members
+                for b in members
+            ):
+                table[mask & 1][mask >> (n - 1) & 1] += 1
+        vec = [vec[0] * table[0][y] + vec[1] * table[1][y] for y in (0, 1)]
+    return vec[0] + vec[1]
+
+
 def closure_bruteforce(lat: Lattice, seed: set[int]) -> set[int]:
     """Fixed-point closure under join and meet, on plain sets."""
     out = set(seed)

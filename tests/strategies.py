@@ -13,6 +13,24 @@ ATOM_SIZES = [
 ]
 
 
+GLUED_TERMS = ATOM_SIZES + [("B8", 8), ("C2xC3", 6), ("C3xC3", 9)]
+
+
+@st.composite
+def glued_expressions(draw, max_size: int = 16) -> str:
+    """Glued sums of atoms and small products, at most max_size elements."""
+    terms: list[str] = []
+    size = 1
+    for _ in range(draw(st.integers(1, 8))):
+        fits = [t for t in GLUED_TERMS if size + t[1] - 1 <= max_size]
+        if not fits:
+            break
+        name, k = draw(st.sampled_from(fits))
+        terms.append(name)
+        size += k - 1
+    return "+".join(terms)
+
+
 @st.composite
 def lattice_expressions(draw, max_size: int = 12) -> str:
     """Expression strings whose lattices have at most max_size elements."""

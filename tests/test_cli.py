@@ -75,6 +75,13 @@ def test_classify_output(capsys):
     assert payload["chain_prefix"] == 1 and payload["chain_suffix"] == 1
 
 
+def test_classify_and_info_on_large_core(capsys):
+    # a 14-element core can be neither B4 nor N5, so it is never canonicalized
+    payload = run_json(capsys, "classify", "--expr", "C2xC7")
+    assert payload == {"n": 14, "class": "Other", "predicted_count": None}
+    assert run_json(capsys, "info", "--expr", "C2xC7")["class"] == "Other"
+
+
 def test_enumerate_formats(capsys):
     payload = run_json(capsys, "enumerate", "--expr", "C2")
     assert payload["subuniverses"] == [[], [0], [1], [0, 1]]

@@ -22,6 +22,7 @@ from latcensus.core import (
     evaluate,
     from_covers,
     from_order_matrix,
+    glued_cuts,
     glued_sum,
     named,
     parse_expression,
@@ -173,6 +174,26 @@ def test_glued_sum_singleton_is_neutral():
 def test_glued_sum_sizes():
     assert glued_sum(named("B4"), named("B4")).n == 7
     assert build_expression("B4+C2+B4").n == 8
+
+
+def test_long_glued_sum_is_built_flat():
+    assert build_expression("+".join(["C2"] * 62)).covers == chain(63).covers
+    with pytest.raises(SizeLimit):
+        build_expression("+".join(["C2"] * 63))
+    n5, m3, b4 = (named(x) for x in ("N5", "M3", "B4"))
+    nested = glued_sum(glued_sum(n5, m3), b4)
+    assert build_expression("N5+M3+B4") == nested
+    assert build_expression("N5+(M3+B4)") == nested
+    assert build_expression("(C2+N5)x C2+C3") == glued_sum(
+        direct_product(glued_sum(chain(2), n5), chain(2)), chain(3)
+    )
+
+
+def test_glued_cuts_examples():
+    assert glued_cuts(build_expression("B4+C3+N5")) == (0, 3, 4, 5, 9)
+    assert glued_cuts(chain(4)) == (0, 1, 2, 3)
+    assert glued_cuts(named("M3")) == (0, 4)
+    assert glued_cuts(chain(1)) == (0,)
 
 
 def test_glued_sum_associative_up_to_isomorphism():

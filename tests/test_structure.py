@@ -144,6 +144,8 @@ def test_decompose_then_glue_roundtrip(expr):
         ("B8", OTHER, None),
         ("B4+B4", OTHER, None),
         ("(C2xC3)+C2", OTHER, None),
+        ("C2xC7", OTHER, None),
+        ("C2+(C3xC5)+C2", OTHER, None),
     ],
 )
 def test_classify_examples(expr, tag, predicted):

@@ -2,7 +2,8 @@ import itertools
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latcensus.core import (
     EmptyGenerator,
@@ -23,8 +24,8 @@ from latcensus.subuniverse import (
     is_subuniverse,
     trace_count,
 )
-from oracles import closure_bruteforce
-from strategies import lattice_expressions
+from oracles import closure_bruteforce, glued_count_bruteforce, random_relabeling
+from strategies import glued_expressions, lattice_expressions
 
 FIXTURE_COUNTS = [
     ("B4", 13),
@@ -189,6 +190,31 @@ def test_size_limits():
     with pytest.raises(SizeLimit):
         trace_count(big, {0})
     assert count_subuniverses(big) == 2**21  # the optimized counter still runs
+
+
+@pytest.mark.parametrize(
+    "parts,expected",
+    [
+        (["N5"] * 15, 21172566919158272),
+        (["M3"] * 7, 26165248),
+        (["C2"] * 62, 2**63),
+        (["C3", "B4", "C2", "C2xC3", "M3", "B8", "N5", "C4"], None),
+    ],
+)
+def test_long_glued_sums_match_blockwise_oracle(parts, expected):
+    lat = build_expression("+".join(parts))
+    count = count_subuniverses(lat)
+    assert count == glued_count_bruteforce([build_expression(p) for p in parts])
+    if expected is not None:
+        assert count == expected
+
+
+@settings(max_examples=20)  # the naive oracle scans up to 2^16 subsets
+@given(glued_expressions(max_size=16), st.randoms(use_true_random=False))
+def test_counter_matches_naive_on_relabeled_glued_sums(expr, rng):
+    # any linear extension keeps each glued block a contiguous index range
+    lat = random_relabeling(build_expression(expr), rng)
+    assert count_subuniverses(lat) == count_subuniverses_naive(lat)
 
 
 @given(lattice_expressions(max_size=10))
