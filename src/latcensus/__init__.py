@@ -2,31 +2,14 @@
 verification of the extremal count values."""
 
 from .canon import canonical_form, canonical_lattice, is_isomorphic
-from .census import (
-    AntichainBoundReport,
-    CensusRecord,
-    GapReport,
-    SpectrumReport,
-    TopThreeReport,
-    VerdictFailure,
-    census_jsonl,
-    census_records,
-    enumerate_lattices,
-    spectrum,
-    verify_antichain_bound,
-    verify_gap,
-    verify_top_three,
-)
+from .census import CensusRecord, census_jsonl, census_records, enumerate_lattices
 from .congruence import (
     Congruence,
-    CongruenceSpectrumReport,
-    con_spectrum,
     count_congruences,
     count_congruences_naive,
     is_congruence,
     join_irreducible_congruences,
     principal_congruence,
-    verify_congruence_spectrum,
     with_con_counts,
 )
 from .core import (
@@ -42,6 +25,7 @@ from .core import (
     NotALattice,
     NotAPoset,
     SizeLimit,
+    SizeTooSmall,
     UnknownName,
     bit_indices,
     build_expression,
@@ -84,6 +68,18 @@ from .subuniverse import (
     generated_sublattice,
     is_subuniverse,
     trace_count,
+)
+from .verify import (
+    SpectrumReport,
+    Verdict,
+    VerdictFailure,
+    con_spectrum,
+    run_checks,
+    spectrum,
+    verify_antichain_bound,
+    verify_congruence_spectrum,
+    verify_gap,
+    verify_top_three,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

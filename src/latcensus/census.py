@@ -1,4 +1,4 @@
-"""Isomorph-free generation of small lattices and exhaustive count verification.
+"""Isomorph-free generation of small lattices and the per-class census records.
 
 Every lattice with n+1 elements arises from one with n elements by removing
 the top, inserting one new maximal element whose down-set satisfies a
@@ -7,10 +7,9 @@ augmentation from the singleton lattice and rejecting duplicates by
 canonical form yields exactly one representative per isomorphism class:
 1, 1, 1, 2, 5, 15, 53, 222, 1078 classes for n = 1..9.
 
-On top of the generator sit the spectrum of subuniverse counts over all
-classes of a given size and the verdict reports for the extremal-count
-classification (top three values and their witness shapes), the gap between
-the top values, and the 20*2^(n-5) bound for lattices with a 3-antichain.
+Each class is analyzed into a ``CensusRecord`` (subuniverse count, shape,
+3-antichain) and written as one JSONL line; the verdicts over these records
+live in ``verify``.
 """
 
 from __future__ import annotations
@@ -22,20 +21,11 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .canon import canonical_form, canonical_lattice
-from .core import Lattice, SizeLimit, bit_indices, from_covers
-from .structure import CHAIN, GLUED_B4, GLUED_N5, classify, find_antichain
+from .core import Lattice, SizeLimit, SizeTooSmall, bit_indices, from_covers
+from .structure import classify, find_antichain
 from .subuniverse import count_subuniverses
 
 GEN_LIMIT = 9
-SPECTRUM_LIMIT = 8
-
-
-class VerdictFailure(Exception):
-    """A verification assertion failed; carries a counterexample when known."""
-
-    def __init__(self, message: str, canon: Optional[str] = None):
-        super().__init__(message)
-        self.canon = canon
 
 
 def _augmentations(parent: Lattice) -> Iterator[Lattice]:
@@ -101,13 +91,17 @@ def _census_classes(n: int) -> tuple[tuple[bytes, Lattice], ...]:
     return tuple((form, canonical_lattice(form)) for form in sorted(seen))
 
 
+def _check_census_size(n: int) -> None:
+    if n < 1:
+        raise SizeTooSmall(f"lattice size must be >= 1, got {n}")
+    if n > GEN_LIMIT:
+        raise SizeLimit(f"census generation bounded at n <= {GEN_LIMIT}, got {n}")
+
+
 def enumerate_lattices(n: int) -> Iterator[Lattice]:
     """One canonically labeled representative per isomorphism class, in
     canonical-form order."""
-    if n < 1:
-        raise ValueError(f"lattice size must be >= 1, got {n}")
-    if n > GEN_LIMIT:
-        raise SizeLimit(f"census generation bounded at n <= {GEN_LIMIT}, got {n}")
+    _check_census_size(n)
     for _, lat in _census_classes(n):
         yield lat
 
@@ -175,8 +169,7 @@ def census_records(n: int, jobs: int = 1) -> list[CensusRecord]:
     ``jobs`` > 1 fans the per-class analysis out to worker processes; the
     output is identical regardless of the worker count.
     """
-    if n > GEN_LIMIT:
-        raise SizeLimit(f"census generation bounded at n <= {GEN_LIMIT}, got {n}")
+    _check_census_size(n)
     items = _census_classes(n)
     if jobs <= 1 or len(items) < 2:
         return [_analyze(item) for item in items]
@@ -186,280 +179,3 @@ def census_records(n: int, jobs: int = 1) -> list[CensusRecord]:
 
 def census_jsonl(records: list[CensusRecord]) -> str:
     return "".join(rec.to_json_line() + "\n" for rec in records)
-
-
-@dataclass
-class SpectrumReport:
-    """Distinct count values (descending) with witness canonical forms."""
-
-    n: int
-    kind: str  # "sub" or "con"
-    values: tuple[int, ...]
-    witnesses: tuple[tuple[int, tuple[str, ...]], ...]
-    top_verdicts: Optional[dict[str, bool]] = None
-
-    def to_json_dict(self) -> dict:
-        d = {
-            "n": self.n,
-            "kind": self.kind,
-            "values": list(self.values),
-            "witnesses": [
-                {"value": v, "canons": list(ws)} for v, ws in self.witnesses
-            ],
-        }
-        if self.top_verdicts is not None:
-            d["top_verdicts"] = self.top_verdicts
-        return d
-
-
-def _group_by_value(pairs: list[tuple[int, str]]) -> tuple:
-    by_value: dict[int, list[str]] = {}
-    for value, canon in pairs:
-        by_value.setdefault(value, []).append(canon)
-    values = tuple(sorted(by_value, reverse=True))
-    witnesses = tuple((v, tuple(sorted(by_value[v]))) for v in values)
-    return values, witnesses
-
-
-def spectrum(n: int) -> SpectrumReport:
-    """All subuniverse-count values over n-element lattices, with witnesses."""
-    if n > SPECTRUM_LIMIT:
-        raise SizeLimit(f"spectrum bounded at n <= {SPECTRUM_LIMIT}, got {n}")
-    records = census_records(n)
-    values, witnesses = _group_by_value(
-        [(rec.sub_count, rec.canon) for rec in records]
-    )
-    verdicts = None
-    if n >= 5:
-        report = verify_top_three(n, records=records)
-        verdicts = {
-            "top_three_values": report.values_ok,
-            "witness_shapes": report.witnesses_ok,
-            "gap": report.gap_ok,
-        }
-    return SpectrumReport(n, "sub", values, witnesses, verdicts)
-
-
-@dataclass
-class TopThreeReport:
-    """Verdicts for the top-three classification at one size."""
-
-    n: int
-    passed: bool
-    expected: dict[str, int]
-    observed: dict[str, Optional[int]]
-    witnesses: dict[str, tuple[str, ...]]
-    values_ok: bool
-    witnesses_ok: bool
-    gap_ok: bool
-    failures: list[str]
-    counterexamples: list[str]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": "top-three",
-            "n": self.n,
-            "passed": self.passed,
-            "expected": self.expected,
-            "observed": self.observed,
-            "witnesses": {k: list(v) for k, v in self.witnesses.items()},
-            "values_ok": self.values_ok,
-            "witnesses_ok": self.witnesses_ok,
-            "gap_ok": self.gap_ok,
-            "failures": self.failures,
-            "counterexamples": self.counterexamples,
-        }
-
-    def raise_on_failure(self) -> None:
-        if not self.passed:
-            canon = self.counterexamples[0] if self.counterexamples else None
-            raise VerdictFailure("; ".join(self.failures), canon=canon)
-
-
-def _require_verifiable_size(n: int) -> None:
-    if n < 5:
-        raise ValueError(f"extremal-count checks are stated for n >= 5, got {n}")
-    if n > SPECTRUM_LIMIT:
-        raise SizeLimit(f"verification bounded at n <= {SPECTRUM_LIMIT}, got {n}")
-
-
-def verify_top_three(n: int, records: Optional[list[CensusRecord]] = None) -> TopThreeReport:
-    """Check the three largest count values and their witness shapes, plus the
-    gaps between them, over the full census at size n."""
-    _require_verifiable_size(n)
-    if records is None:
-        records = census_records(n)
-    q = 1 << (n - 5)
-    expected = {"first": 32 * q, "second": 26 * q, "third": 23 * q}
-    expected_tag = {"first": CHAIN, "second": GLUED_B4, "third": GLUED_N5}
-
-    values = sorted({rec.sub_count for rec in records}, reverse=True)
-    observed = {
-        "first": values[0] if values else None,
-        "second": values[1] if len(values) > 1 else None,
-        "third": values[2] if len(values) > 2 else None,
-    }
-    failures: list[str] = []
-    counterexamples: list[str] = []
-
-    values_ok = all(observed[place] == expected[place] for place in expected)
-    if not values_ok:
-        failures.append(
-            f"top three values are {values[:3]}, expected "
-            f"{[expected['first'], expected['second'], expected['third']]}"
-        )
-
-    witnesses: dict[str, tuple[str, ...]] = {}
-    witnesses_ok = True
-    for place, tag in expected_tag.items():
-        with_count = {rec.canon for rec in records if rec.sub_count == expected[place]}
-        with_shape = {rec.canon for rec in records if rec.classification == tag}
-        witnesses[place] = tuple(sorted(with_count))
-        if with_count != with_shape:
-            witnesses_ok = False
-            bad = sorted(with_count ^ with_shape)
-            counterexamples.extend(bad)
-            failures.append(
-                f"witnesses of {expected[place]} differ from {tag} shapes: {bad}"
-            )
-
-    gap_ok = True
-    for v in values:
-        if expected["third"] < v < expected["second"] or expected["second"] < v < expected["first"]:
-            gap_ok = False
-            bad = sorted(
-                rec.canon for rec in records if rec.sub_count == v
-            )
-            counterexamples.extend(bad)
-            failures.append(f"count value {v} falls in a forbidden gap")
-
-    passed = values_ok and witnesses_ok and gap_ok
-    return TopThreeReport(
-        n=n,
-        passed=passed,
-        expected=expected,
-        observed=observed,
-        witnesses=witnesses,
-        values_ok=values_ok,
-        witnesses_ok=witnesses_ok,
-        gap_ok=gap_ok,
-        failures=failures,
-        counterexamples=counterexamples,
-    )
-
-
-@dataclass
-class GapReport:
-    """Verdict that no count value falls strictly between the top three."""
-
-    n: int
-    passed: bool
-    intervals: list[list[int]]
-    failures: list[str]
-    counterexamples: list[str]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": "gap",
-            "n": self.n,
-            "passed": self.passed,
-            "intervals": self.intervals,
-            "failures": self.failures,
-            "counterexamples": self.counterexamples,
-        }
-
-    def raise_on_failure(self) -> None:
-        if not self.passed:
-            canon = self.counterexamples[0] if self.counterexamples else None
-            raise VerdictFailure("; ".join(self.failures), canon=canon)
-
-
-def verify_gap(n: int, records: Optional[list[CensusRecord]] = None) -> GapReport:
-    """No n-element lattice has a subuniverse count strictly between
-    23*2^(n-5) and 26*2^(n-5), or between 26*2^(n-5) and 2^n."""
-    _require_verifiable_size(n)
-    if records is None:
-        records = census_records(n)
-    q = 1 << (n - 5)
-    intervals = [[23 * q, 26 * q], [26 * q, 32 * q]]
-    failures: list[str] = []
-    counterexamples: list[str] = []
-    for rec in records:
-        if any(lo < rec.sub_count < hi for lo, hi in intervals):
-            failures.append(
-                f"{rec.canon} has {rec.sub_count} subuniverses, inside a gap"
-            )
-            counterexamples.append(rec.canon)
-    return GapReport(
-        n=n,
-        passed=not failures,
-        intervals=intervals,
-        failures=failures,
-        counterexamples=counterexamples,
-    )
-
-
-@dataclass
-class AntichainBoundReport:
-    """Verdict for the 20*2^(n-5) bound over lattices with a 3-antichain."""
-
-    n: int
-    passed: bool
-    bound: int
-    checked: int
-    max_count: int
-    max_witnesses: tuple[str, ...]
-    failures: list[str]
-    counterexamples: list[str]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": "antichain-bound",
-            "n": self.n,
-            "passed": self.passed,
-            "bound": self.bound,
-            "checked": self.checked,
-            "max_count": self.max_count,
-            "max_witnesses": list(self.max_witnesses),
-            "failures": self.failures,
-            "counterexamples": self.counterexamples,
-        }
-
-    def raise_on_failure(self) -> None:
-        if not self.passed:
-            canon = self.counterexamples[0] if self.counterexamples else None
-            raise VerdictFailure("; ".join(self.failures), canon=canon)
-
-
-def verify_antichain_bound(
-    n: int, records: Optional[list[CensusRecord]] = None
-) -> AntichainBoundReport:
-    """Every n-element lattice containing a 3-antichain has at most
-    20*2^(n-5) subuniverses; report the maximum attained."""
-    _require_verifiable_size(n)
-    if records is None:
-        records = census_records(n)
-    bound = 20 << (n - 5)
-    with_antichain = [rec for rec in records if rec.has_antichain3]
-    failures: list[str] = []
-    counterexamples: list[str] = []
-    max_count = max((rec.sub_count for rec in with_antichain), default=0)
-    max_witnesses = tuple(
-        sorted(rec.canon for rec in with_antichain if rec.sub_count == max_count)
-    )
-    for rec in with_antichain:
-        if rec.sub_count > bound:
-            failures.append(
-                f"{rec.canon} has a 3-antichain but {rec.sub_count} > {bound}"
-            )
-            counterexamples.append(rec.canon)
-    return AntichainBoundReport(
-        n=n,
-        passed=not failures,
-        bound=bound,
-        checked=len(with_antichain),
-        max_count=max_count,
-        max_witnesses=max_witnesses,
-        failures=failures,
-        counterexamples=counterexamples,
-    )

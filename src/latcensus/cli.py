@@ -17,6 +17,7 @@ from typing import Optional
 from . import census as census_mod
 from . import congruence as con_mod
 from . import structure
+from . import verify as verify_mod
 from .core import Lattice, LatticeError, build_expression, from_covers
 from .subuniverse import count_subuniverses, enumerate_subuniverses
 
@@ -176,9 +177,9 @@ def cmd_census(args) -> int:
 
 def cmd_spectrum(args) -> int:
     if args.kind == "con":
-        report = con_mod.con_spectrum(args.size)
+        report = verify_mod.con_spectrum(args.size)
     else:
-        report = census_mod.spectrum(args.size)
+        report = verify_mod.spectrum(args.size)
     if args.format == "table":
         rows = [f"{value}: {len(ws)} classes" for value, ws in report.witnesses]
         _emit("\n".join(rows) + "\n", args.out)
@@ -194,16 +195,7 @@ def cmd_verify(args) -> int:
         sizes = list(range(5, args.max_n + 1))
     else:
         raise LatticeError("verify needs --size or --max-n")
-    reports = []
-    for n in sizes:
-        if args.theorem == "main":
-            reports.append(census_mod.verify_top_three(n))
-        elif args.theorem == "corollary":
-            reports.append(census_mod.verify_gap(n))
-        elif args.theorem == "lemma4":
-            reports.append(census_mod.verify_antichain_bound(n))
-        else:
-            reports.append(con_mod.verify_congruence_spectrum(n))
+    reports = verify_mod.run_checks(args.theorem, sizes)
     if len(reports) == 1:
         payload = reports[0].to_json_dict()
     else:
@@ -274,11 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run an exhaustive verification check")
     p.add_argument(
         "--theorem",
-        choices=("main", "lemma4", "corollary", "remark1"),
+        choices=(*verify_mod.CHECKS, "all"),
         required=True,
         help="main: top-three counts and witness shapes; lemma4: the "
         "3-antichain bound; corollary: gaps between the top counts; "
-        "remark1: largest congruence counts and shapes",
+        "remark1: largest congruence counts and shapes; all: every check "
+        "on one census per size",
     )
     p.add_argument("--size", type=int, help="single census size to check")
     p.add_argument("--max-n", type=int, help="check every size from 5 up to this")

@@ -10,11 +10,9 @@ materializing the full congruence lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .census import CensusRecord, SpectrumReport, VerdictFailure, _group_by_value, census_records
 from .core import Lattice, SizeLimit
-from .structure import CHAIN, GLUED_B4, GLUED_N5
 
 COUNT_LIMIT = 20
 NAIVE_LIMIT = 8  # Bell(8) = 4140 partitions
@@ -176,128 +174,8 @@ def count_congruences_naive(lat: Lattice) -> int:
     return total
 
 
-def with_con_counts(records: list[CensusRecord]) -> list[CensusRecord]:
-    """Fill the optional congruence-count field of census records."""
+def with_con_counts(records: list) -> list:
+    """Copies of census records with their congruence-count field filled."""
     return [
         replace(rec, con_count=count_congruences(rec.lattice())) for rec in records
     ]
-
-
-def _con_census(n: int) -> list[CensusRecord]:
-    return with_con_counts(census_records(n))
-
-
-def con_spectrum(n: int) -> SpectrumReport:
-    """All congruence-count values over n-element lattices, with witnesses."""
-    records = _con_census(n)
-    values, witnesses = _group_by_value(
-        [(rec.con_count, rec.canon) for rec in records]
-    )
-    verdicts = None
-    if n >= 5:
-        report = verify_congruence_spectrum(n, records=records)
-        verdicts = {
-            "top_values": report.values_ok,
-            "top_three_shapes": report.witnesses_ok,
-        }
-    return SpectrumReport(n, "con", values, witnesses, verdicts)
-
-
-@dataclass
-class CongruenceSpectrumReport:
-    """Verdicts for the five largest congruence counts at one size.
-
-    The reference values are 16, 8, 5, 4 and 3.5 times 2^(n-5); non-integral
-    or unwitnessed entries are skipped, and the observed top values must then
-    match the remaining list in order.  The top three witness sets must be
-    exactly the chain / glued-B4 / glued-N5 classes.
-    """
-
-    n: int
-    passed: bool
-    expected: list  # reference values; 3.5*2^(n-5) stays fractional at n = 5
-    expected_present: list[int]
-    observed_top: list[int]
-    values_ok: bool
-    witnesses_ok: bool
-    failures: list[str]
-    counterexamples: list[str]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": "congruence-spectrum",
-            "n": self.n,
-            "passed": self.passed,
-            "expected": self.expected,
-            "expected_present": self.expected_present,
-            "observed_top": self.observed_top,
-            "values_ok": self.values_ok,
-            "witnesses_ok": self.witnesses_ok,
-            "failures": self.failures,
-            "counterexamples": self.counterexamples,
-        }
-
-    def raise_on_failure(self) -> None:
-        if not self.passed:
-            canon = self.counterexamples[0] if self.counterexamples else None
-            raise VerdictFailure("; ".join(self.failures), canon=canon)
-
-
-def verify_congruence_spectrum(
-    n: int, records: Optional[list[CensusRecord]] = None
-) -> CongruenceSpectrumReport:
-    if n < 5:
-        raise ValueError(f"congruence spectrum checks are stated for n >= 5, got {n}")
-    if records is None:
-        records = _con_census(n)
-    elif any(rec.con_count is None for rec in records):
-        records = with_con_counts(records)
-
-    # 16, 8, 5, 4, 3.5 in units of 2^(n-5); 3.5*2^(n-5) = 7*2^(n-6)
-    doubled = [32, 16, 10, 8, 7]
-    reference = [v << (n - 5) >> 1 if v << (n - 5) & 1 == 0 else (v << (n - 5)) / 2 for v in doubled]
-    expected = [v for v in reference if isinstance(v, int)]
-    observed = sorted({rec.con_count for rec in records}, reverse=True)
-    observed_set = set(observed)
-    expected_present = [v for v in expected if v in observed_set]
-    top = observed[: len(expected_present)]
-
-    failures: list[str] = []
-    counterexamples: list[str] = []
-    values_ok = top == expected_present
-    if not values_ok:
-        failures.append(
-            f"largest congruence counts {top} do not match {expected_present}"
-        )
-        for v in top:
-            if v not in expected_present:
-                counterexamples.extend(
-                    sorted(rec.canon for rec in records if rec.con_count == v)
-                )
-
-    expected_tag = {0: CHAIN, 1: GLUED_B4, 2: GLUED_N5}
-    witnesses_ok = True
-    for place, tag in expected_tag.items():
-        value = expected[place]
-        with_count = {rec.canon for rec in records if rec.con_count == value}
-        with_shape = {rec.canon for rec in records if rec.classification == tag}
-        if with_count != with_shape:
-            witnesses_ok = False
-            bad = sorted(with_count ^ with_shape)
-            counterexamples.extend(bad)
-            failures.append(
-                f"witnesses of congruence count {value} differ from {tag} shapes: {bad}"
-            )
-
-    passed = values_ok and witnesses_ok
-    return CongruenceSpectrumReport(
-        n=n,
-        passed=passed,
-        expected=reference,
-        expected_present=expected_present,
-        observed_top=top,
-        values_ok=values_ok,
-        witnesses_ok=witnesses_ok,
-        failures=failures,
-        counterexamples=counterexamples,
-    )

@@ -40,6 +40,10 @@ class SizeLimit(LatticeError):
     """Input exceeds a documented size bound."""
 
 
+class SizeTooSmall(LatticeError, ValueError):
+    """Size below the smallest one an operation is stated for."""
+
+
 class UnknownName(LatticeError):
     """Name not present in the registry of named lattices."""
 

@@ -1,0 +1,337 @@
+"""Exhaustive verdicts over the census of small lattices.
+
+Every check takes a size n and, optionally, the census records for n, and
+returns one ``Verdict``: the extremal-count classification (top three
+subuniverse counts 2^n, 26*2^(n-5), 23*2^(n-5) and their witness shapes),
+the gaps between those values, the 20*2^(n-5) bound for lattices with a
+3-antichain, and the largest congruence counts.  ``CHECKS`` maps the CLI's
+``--theorem`` names to the check functions; ``run_checks`` runs one of them,
+or all of them on one census per size.  The count spectra, which carry the
+verdicts as a summary, live here too.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional
+
+from .census import GEN_LIMIT, CensusRecord, census_records
+from .congruence import with_con_counts
+from .core import SizeLimit, SizeTooSmall
+from .structure import CHAIN, GLUED_B4, GLUED_N5
+
+SPECTRUM_LIMIT = 8
+TOP_SHAPES = (CHAIN, GLUED_B4, GLUED_N5)  # witnesses of the top three values
+
+
+class VerdictFailure(Exception):
+    """A verification assertion failed; carries a counterexample when known."""
+
+    def __init__(self, message: str, canon: Optional[str] = None):
+        super().__init__(message)
+        self.canon = canon
+
+
+@dataclass
+class Verdict:
+    """Outcome of one check at one size.
+
+    ``details`` holds the check's own findings (expected and observed values,
+    witnesses, partial verdicts); it is emitted between ``passed`` and
+    ``failures`` in the JSON report.
+    """
+
+    check: str
+    n: int
+    failures: list[str]
+    counterexamples: list[str]
+    details: dict
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    def to_json_dict(self) -> dict:
+        return {
+            "check": self.check,
+            "n": self.n,
+            "passed": self.passed,
+            **self.details,
+            "failures": self.failures,
+            "counterexamples": self.counterexamples,
+        }
+
+    def raise_on_failure(self) -> None:
+        if not self.passed:
+            canon = self.counterexamples[0] if self.counterexamples else None
+            raise VerdictFailure("; ".join(self.failures), canon=canon)
+
+
+@dataclass
+class SpectrumReport:
+    """Distinct count values (descending) with witness canonical forms."""
+
+    n: int
+    kind: str  # "sub" or "con"
+    values: tuple[int, ...]
+    witnesses: tuple[tuple[int, tuple[str, ...]], ...]
+    top_verdicts: Optional[dict[str, bool]] = None
+
+    def to_json_dict(self) -> dict:
+        d = {
+            "n": self.n,
+            "kind": self.kind,
+            "values": list(self.values),
+            "witnesses": [
+                {"value": v, "canons": list(ws)} for v, ws in self.witnesses
+            ],
+        }
+        if self.top_verdicts is not None:
+            d["top_verdicts"] = self.top_verdicts
+        return d
+
+
+def _group_by_value(pairs: list[tuple[int, str]]) -> tuple:
+    by_value: dict[int, list[str]] = {}
+    for value, canon in pairs:
+        by_value.setdefault(value, []).append(canon)
+    values = tuple(sorted(by_value, reverse=True))
+    witnesses = tuple((v, tuple(sorted(by_value[v]))) for v in values)
+    return values, witnesses
+
+
+def spectrum(n: int) -> SpectrumReport:
+    """All subuniverse-count values over n-element lattices, with witnesses."""
+    if n > SPECTRUM_LIMIT:
+        raise SizeLimit(f"spectrum bounded at n <= {SPECTRUM_LIMIT}, got {n}")
+    records = census_records(n)
+    values, witnesses = _group_by_value(
+        [(rec.sub_count, rec.canon) for rec in records]
+    )
+    verdicts = None
+    if n >= 5:
+        details = verify_top_three(n, records=records).details
+        verdicts = {
+            "top_three_values": details["values_ok"],
+            "witness_shapes": details["witnesses_ok"],
+            "gap": details["gap_ok"],
+        }
+    return SpectrumReport(n, "sub", values, witnesses, verdicts)
+
+
+def con_spectrum(n: int) -> SpectrumReport:
+    """All congruence-count values over n-element lattices, with witnesses."""
+    records = with_con_counts(census_records(n))
+    values, witnesses = _group_by_value(
+        [(rec.con_count, rec.canon) for rec in records]
+    )
+    verdicts = None
+    if n >= 5:
+        details = verify_congruence_spectrum(n, records=records).details
+        verdicts = {
+            "top_values": details["values_ok"],
+            "top_three_shapes": details["witnesses_ok"],
+        }
+    return SpectrumReport(n, "con", values, witnesses, verdicts)
+
+
+def _checked_records(
+    n: int, records: Optional[list[CensusRecord]], limit: int = SPECTRUM_LIMIT
+) -> list[CensusRecord]:
+    if n < 5:
+        raise SizeTooSmall(f"extremal-count checks are stated for n >= 5, got {n}")
+    if n > limit:
+        raise SizeLimit(f"verification bounded at n <= {limit}, got {n}")
+    return census_records(n) if records is None else records
+
+
+def _top_three(n: int) -> tuple[int, int, int]:
+    q = 1 << (n - 5)
+    return 32 * q, 26 * q, 23 * q
+
+
+def _gap_intervals(n: int) -> list[list[int]]:
+    first, second, third = _top_three(n)
+    return [[third, second], [second, first]]
+
+
+def _check_gaps(n, records, failures, counterexamples) -> bool:
+    """Record every class whose subuniverse count lies strictly inside a gap
+    between the top three values; True when there is none."""
+    intervals = _gap_intervals(n)
+    ok = True
+    for rec in records:
+        if any(lo < rec.sub_count < hi for lo, hi in intervals):
+            ok = False
+            failures.append(
+                f"{rec.canon} has {rec.sub_count} subuniverses, inside a gap"
+            )
+            counterexamples.append(rec.canon)
+    return ok
+
+
+def _check_shapes(
+    records, values, field: str, failures, counterexamples
+) -> tuple[bool, list[tuple[str, ...]]]:
+    """Compare the classes whose ``field`` count equals each of ``values``
+    with the classes of the matching ``TOP_SHAPES`` tag; returns the verdict
+    and the witnesses."""
+    ok = True
+    witnesses = []
+    for value, tag in zip(values, TOP_SHAPES):
+        with_count = {rec.canon for rec in records if getattr(rec, field) == value}
+        with_shape = {rec.canon for rec in records if rec.classification == tag}
+        witnesses.append(tuple(sorted(with_count)))
+        if with_count != with_shape:
+            ok = False
+            bad = sorted(with_count ^ with_shape)
+            counterexamples.extend(bad)
+            failures.append(
+                f"witnesses of {field} {value} differ from {tag} shapes: {bad}"
+            )
+    return ok, witnesses
+
+
+def verify_top_three(n: int, records: Optional[list[CensusRecord]] = None) -> Verdict:
+    """Check the three largest count values and their witness shapes, plus the
+    gaps between them, over the full census at size n."""
+    records = _checked_records(n, records)
+    places = ("first", "second", "third")
+    expected = dict(zip(places, _top_three(n)))
+    values = sorted({rec.sub_count for rec in records}, reverse=True)
+    observed = {place: values[k] if k < len(values) else None
+                for k, place in enumerate(places)}
+    failures: list[str] = []
+    counterexamples: list[str] = []
+
+    values_ok = observed == expected
+    if not values_ok:
+        failures.append(
+            f"top three values are {values[:3]}, expected {list(expected.values())}"
+        )
+    witnesses_ok, witnesses = _check_shapes(
+        records, expected.values(), "sub_count", failures, counterexamples
+    )
+    gap_ok = _check_gaps(n, records, failures, counterexamples)
+    return Verdict("top-three", n, failures, counterexamples, {
+        "expected": expected,
+        "observed": observed,
+        "witnesses": dict(zip(places, witnesses)),
+        "values_ok": values_ok,
+        "witnesses_ok": witnesses_ok,
+        "gap_ok": gap_ok,
+    })
+
+
+def verify_gap(n: int, records: Optional[list[CensusRecord]] = None) -> Verdict:
+    """No n-element lattice has a subuniverse count strictly between
+    23*2^(n-5) and 26*2^(n-5), or between 26*2^(n-5) and 2^n."""
+    records = _checked_records(n, records)
+    failures: list[str] = []
+    counterexamples: list[str] = []
+    _check_gaps(n, records, failures, counterexamples)
+    return Verdict("gap", n, failures, counterexamples,
+                   {"intervals": _gap_intervals(n)})
+
+
+def verify_antichain_bound(
+    n: int, records: Optional[list[CensusRecord]] = None
+) -> Verdict:
+    """Every n-element lattice containing a 3-antichain has at most
+    20*2^(n-5) subuniverses; report the maximum attained."""
+    records = _checked_records(n, records)
+    bound = 20 << (n - 5)
+    with_antichain = [rec for rec in records if rec.has_antichain3]
+    failures: list[str] = []
+    counterexamples: list[str] = []
+    max_count = max((rec.sub_count for rec in with_antichain), default=0)
+    max_witnesses = tuple(
+        sorted(rec.canon for rec in with_antichain if rec.sub_count == max_count)
+    )
+    for rec in with_antichain:
+        if rec.sub_count > bound:
+            failures.append(
+                f"{rec.canon} has a 3-antichain but {rec.sub_count} > {bound}"
+            )
+            counterexamples.append(rec.canon)
+    return Verdict("antichain-bound", n, failures, counterexamples, {
+        "bound": bound,
+        "checked": len(with_antichain),
+        "max_count": max_count,
+        "max_witnesses": max_witnesses,
+    })
+
+
+def verify_congruence_spectrum(
+    n: int, records: Optional[list[CensusRecord]] = None
+) -> Verdict:
+    """Verdicts for the five largest congruence counts at one size.
+
+    The reference values are 16, 8, 5, 4 and 3.5 times 2^(n-5), and the
+    observed top values must match them in order.  From n = 6 on every
+    reference value is integral and attained, and a missing one fails the
+    check; at n = 5 the fractional 3.5 and the unattained 4 are skipped (the
+    top values there are 16, 8, 5, 2).  The top three witness sets must be
+    exactly the chain / glued-B4 / glued-N5 classes.
+    """
+    records = _checked_records(n, records, GEN_LIMIT)
+    if any(rec.con_count is None for rec in records):
+        records = with_con_counts(records)
+
+    # 16, 8, 5, 4, 3.5 in units of 2^(n-5); 3.5*2^(n-5) = 7*2^(n-6)
+    scaled = [v << (n - 5) for v in (32, 16, 10, 8, 7)]
+    reference = [v // 2 if v % 2 == 0 else v / 2 for v in scaled]
+    expected = [v for v in reference if isinstance(v, int)]
+    observed = sorted({rec.con_count for rec in records}, reverse=True)
+    observed_set = set(observed)
+    expected_present = [v for v in expected if v in observed_set]
+    top = observed[: len(expected_present)]
+
+    failures: list[str] = []
+    counterexamples: list[str] = []
+    missing = [v for v in expected if v not in observed_set] if n >= 6 else []
+    if missing:
+        failures.append(f"reference congruence counts {missing} are attained by no class")
+    values_ok = top == expected_present and not missing
+    if top != expected_present:
+        failures.append(
+            f"largest congruence counts {top} do not match {expected_present}"
+        )
+        for v in top:
+            if v not in expected_present:
+                counterexamples.extend(
+                    sorted(rec.canon for rec in records if rec.con_count == v)
+                )
+    witnesses_ok, _ = _check_shapes(
+        records, expected, "con_count", failures, counterexamples
+    )
+    return Verdict("congruence-spectrum", n, failures, counterexamples, {
+        "expected": reference,
+        "expected_present": expected_present,
+        "observed_top": top,
+        "values_ok": values_ok,
+        "witnesses_ok": witnesses_ok,
+    })
+
+
+CHECKS: dict[str, Callable[..., Verdict]] = {
+    "main": verify_top_three,
+    "corollary": verify_gap,
+    "lemma4": verify_antichain_bound,
+    "remark1": verify_congruence_spectrum,
+}
+
+
+def run_checks(theorem: str, sizes: Iterable[int]) -> list[Verdict]:
+    """Run the check named ``theorem`` at every size, or with ``"all"`` every
+    check in ``CHECKS`` order on one census per size."""
+    sizes = list(sizes)
+    if not sizes:
+        raise SizeTooSmall("no size to verify; the checks are stated for n >= 5")
+    if theorem != "all":
+        return [CHECKS[theorem](n) for n in sizes]
+    verdicts = []
+    for n in sizes:
+        records = census_records(n)
+        verdicts.extend(check(n, records=records) for check in CHECKS.values())
+    return verdicts

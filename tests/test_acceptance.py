@@ -13,13 +13,8 @@ from functools import reduce
 import pytest
 
 from latcensus.canon import canonical_form
-from latcensus.census import verify_antichain_bound, verify_gap, verify_top_three
 from latcensus.cli import main
-from latcensus.congruence import (
-    count_congruences,
-    count_congruences_naive,
-    verify_congruence_spectrum,
-)
+from latcensus.congruence import count_congruences, count_congruences_naive
 from latcensus.core import build_expression, chain, glued_sum, named, sublattice
 from latcensus.structure import (
     GLUED_B4,
@@ -34,6 +29,12 @@ from latcensus.subuniverse import (
     enumerate_subuniverses,
     generated_sublattice,
     trace_count,
+)
+from latcensus.verify import (
+    verify_antichain_bound,
+    verify_congruence_spectrum,
+    verify_gap,
+    verify_top_three,
 )
 from oracles import random_expression
 
@@ -75,7 +76,7 @@ def test_criterion_03_top_three_classification(census):
         report = verify_top_three(n, records=census(n))
         assert report.passed, (n, report.failures)
         q = 1 << (n - 5)
-        assert report.observed == {"first": 32 * q, "second": 26 * q, "third": 23 * q}
+        assert report.details["observed"] == {"first": 32 * q, "second": 26 * q, "third": 23 * q}
     announce(3, "top three values and witness shapes exact for n=5..8")
 
 
@@ -103,9 +104,9 @@ def test_criterion_06_antichain_bound(census):
     for n in range(5, 9):
         report = verify_antichain_bound(n, records=census(n))
         assert report.passed, (n, report.failures)
-        assert report.max_count == 20 << (n - 5), n  # the bound is attained
+        assert report.details["max_count"] == 20 << (n - 5), n  # the bound is attained
         if n == 5:
-            assert report.max_witnesses == (m3_hex,)
+            assert report.details["max_witnesses"] == (m3_hex,)
     announce(6, "3-antichain implies count <= 20*2^(n-5); max ratio exactly 20")
 
 
@@ -204,7 +205,7 @@ def test_criterion_10_congruence_spectra(census):
     for n in (6, 7, 8):
         report = verify_congruence_spectrum(n)
         assert report.passed, (n, report.failures)
-        assert report.values_ok and report.witnesses_ok
+        assert report.details["values_ok"] and report.details["witnesses_ok"]
     announce(10, "five largest congruence counts and top-three shapes for n=6..8")
 
 

@@ -3,20 +3,17 @@ import random
 import pytest
 
 from latcensus.canon import canonical_form, canonical_lattice, is_isomorphic
-from latcensus.census import (
-    CensusRecord,
-    TopThreeReport,
+from latcensus.census import CensusRecord, census_jsonl, census_records, enumerate_lattices
+from latcensus.core import SizeLimit, build_expression, chain, direct_product, dual, named
+from latcensus.structure import CHAIN
+from latcensus.verify import (
+    Verdict,
     VerdictFailure,
-    census_jsonl,
-    census_records,
-    enumerate_lattices,
     spectrum,
     verify_antichain_bound,
     verify_gap,
     verify_top_three,
 )
-from latcensus.core import SizeLimit, build_expression, chain, direct_product, dual, named
-from latcensus.structure import CHAIN
 from oracles import lattice_class_forms_bruteforce, random_relabeling
 
 EXPECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222, 9: 1078}
@@ -118,12 +115,12 @@ def test_top_three_verification_small(census):
     for n in (5, 6):
         report = verify_top_three(n, records=census(n))
         assert report.passed and not report.failures
-        assert report.witnesses["first"] == (
+        assert report.details["witnesses"]["first"] == (
             canonical_form(chain(n)).hex(),
         )
     report = verify_top_three(5, records=census(5))
-    assert report.witnesses["third"] == (canonical_form(named("N5")).hex(),)
-    assert len(report.witnesses["second"]) == 2  # B4+C2 and C2+B4
+    assert report.details["witnesses"]["third"] == (canonical_form(named("N5")).hex(),)
+    assert len(report.details["witnesses"]["second"]) == 2  # B4+C2 and C2+B4
 
 
 def test_gap_verification_small(census):
@@ -134,9 +131,9 @@ def test_gap_verification_small(census):
 def test_antichain_bound_small(census):
     report = verify_antichain_bound(5, records=census(5))
     assert report.passed
-    assert report.checked == 1  # only the diamond has a 3-antichain at n=5
-    assert report.max_count == 20
-    assert report.max_witnesses == (canonical_form(named("M3")).hex(),)
+    assert report.details["checked"] == 1  # only the diamond has a 3-antichain at n=5
+    assert report.details["max_count"] == 20
+    assert report.details["max_witnesses"] == (canonical_form(named("M3")).hex(),)
 
 
 def test_fourth_largest_at_seven_is_at_least_85(census):
@@ -172,18 +169,7 @@ def test_census_records_classification_consistency(census):
 
 
 def test_verdict_failure_carries_counterexample():
-    report = TopThreeReport(
-        n=5,
-        passed=False,
-        expected={},
-        observed={},
-        witnesses={},
-        values_ok=False,
-        witnesses_ok=True,
-        gap_ok=True,
-        failures=["boom"],
-        counterexamples=["deadbeef"],
-    )
+    report = Verdict("top-three", 5, failures=["boom"], counterexamples=["deadbeef"], details={})
     with pytest.raises(VerdictFailure) as err:
         report.raise_on_failure()
     assert err.value.canon == "deadbeef"

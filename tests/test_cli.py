@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from latcensus import census as census_mod
+from latcensus import verify as verify_mod
 from latcensus.cli import main, normalized_count
 
 
@@ -153,12 +153,11 @@ def test_verify_lemma4_and_remark1(capsys):
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    failing = census_mod.TopThreeReport(
-        n=5, passed=False, expected={}, observed={}, witnesses={},
-        values_ok=False, witnesses_ok=True, gap_ok=True,
-        failures=["fabricated failure"], counterexamples=["00"],
+    failing = verify_mod.Verdict(
+        "top-three", 5, failures=["fabricated failure"], counterexamples=["00"],
+        details={},
     )
-    monkeypatch.setattr(census_mod, "verify_top_three", lambda n: failing)
+    monkeypatch.setitem(verify_mod.CHECKS, "main", lambda n: failing)
     code, out, err = run(capsys, "verify", "--theorem", "main", "--size", "5")
     assert code == 1
     assert json.loads(out)["passed"] is False
@@ -168,6 +167,47 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
 def test_verify_needs_a_size(capsys):
     code, _, err = run(capsys, "verify", "--theorem", "main")
     assert code == 2 and "verify needs --size or --max-n" in err
+
+
+def test_verify_all_runs_every_check_per_size(capsys):
+    payload = run_json(capsys, "verify", "--theorem", "all", "--max-n", "8")
+    assert payload["passed"] is True
+    reports = payload["reports"]
+    assert len(reports) == 16
+    assert [(r["n"], r["check"]) for r in reports[:4]] == [
+        (5, "top-three"), (5, "gap"), (5, "antichain-bound"), (5, "congruence-spectrum"),
+    ]
+    assert [r["n"] for r in reports] == [n for n in range(5, 9) for _ in range(4)]
+    six = reports[4:8]
+    for theorem, report in zip(("main", "corollary", "lemma4", "remark1"), six):
+        assert run_json(capsys, "verify", "--theorem", theorem, "--size", "6") == report
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "main", "--max-n", "4"],
+    ["verify", "--theorem", "remark1", "--max-n", "4"],
+    ["verify", "--theorem", "lemma4", "--max-n", "3"],
+    ["verify", "--theorem", "all", "--max-n", "4"],
+])
+def test_verify_empty_range_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "n >= 5" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "main", "--size", "4"],
+    ["verify", "--theorem", "remark1", "--size", "4"],
+    ["verify", "--theorem", "all", "--size", "4"],
+    ["census", "--size", "0"],
+    ["census", "--size", "-1"],
+    ["spectrum", "--size", "0"],
+    ["spectrum", "--kind", "con", "--size", "0"],
+])
+def test_out_of_range_sizes_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_input_errors_exit_two(capsys, tmp_path):

@@ -4,17 +4,16 @@ from hypothesis import given
 from latcensus.canon import canonical_form
 from latcensus.congruence import (
     Congruence,
-    con_spectrum,
     count_congruences,
     count_congruences_naive,
     is_congruence,
     join_irreducible_congruences,
     principal_congruence,
-    verify_congruence_spectrum,
     with_con_counts,
 )
 from latcensus.core import IndexOutOfRange, SizeLimit, build_expression, chain, dual, named
 from latcensus.structure import CHAIN, GLUED_B4, GLUED_N5
+from latcensus.verify import con_spectrum, verify_congruence_spectrum
 from strategies import lattice_expressions
 
 
