@@ -1,0 +1,4 @@
+from .cli import main
+
+if __name__ == "__main__":  # a spawned worker imports this module as __mp_main__
+    raise SystemExit(main())

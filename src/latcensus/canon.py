@@ -5,15 +5,58 @@ search relabelings whose index order refines the (height, #lower covers,
 #upper covers) key.  Every such labeling is automatically a linear extension,
 and the lexicographically smallest serialized cover list over the family is a
 complete isomorphism invariant.
+
+Twins, elements with the same lower covers and the same upper covers, share
+a key.  Swapping two twins maps the cover relation onto itself, so any two
+labelings that differ only in how twins are ordered give the same cover
+list.  The search therefore visits each distinct arrangement of a class's
+twin groups once, with the members of a group in index order.  The minimum
+over this smaller family is the minimum over the whole family: the result
+is unchanged, and the diamond M_k (k atoms) costs one labeling, not k!.
+
+The relabeled pair (i, j) is compared as the integer 64*i + j, which keeps
+the byte order for the indices below 64 that occur here.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
+from typing import Iterator
 
 from .core import Lattice, SizeLimit, from_covers
 
 CANON_LIMIT = 12  # permutation search bound
+
+
+def _arrangements(groups: list[list[int]]) -> Iterator[list[int]]:
+    """Distinct orders of the members of ``groups`` in which every group
+    keeps its own index order, i.e. the permutations of a multiset."""
+    if len(groups) == 1:
+        yield groups[0]
+        return
+    if all(len(g) == 1 for g in groups):  # the common case, left to C code
+        yield from map(list, permutations(g[0] for g in groups))
+        return
+    labels = sorted(g for g, members in enumerate(groups) for _ in members)
+    last = len(labels) - 1
+    while True:
+        taken = [0] * len(groups)
+        out = []
+        for g in labels:
+            out.append(groups[g][taken[g]])
+            taken[g] += 1
+        yield out
+        # step to the next label sequence in lexicographic order
+        i = last - 1
+        while i >= 0 and labels[i] >= labels[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = last
+        while labels[j] <= labels[i]:
+            j -= 1
+        labels[i], labels[j] = labels[j], labels[i]
+        labels[i + 1:] = labels[:i:-1]
 
 
 def canonical_form(lat: Lattice) -> bytes:
@@ -25,31 +68,42 @@ def canonical_form(lat: Lattice) -> bytes:
     n = lat.n
     if n > CANON_LIMIT:
         raise SizeLimit(f"canonical form bounded at n <= {CANON_LIMIT}, got {n}")
-    key = [
-        (lat.height[x], len(lat.lower_covers[x]), len(lat.upper_covers[x]))
-        for x in range(n)
-    ]
-    classes: dict[tuple[int, int, int], list[int]] = {}
-    for x in range(n):
-        classes.setdefault(key[x], []).append(x)
-    ordered = [classes[k] for k in sorted(classes)]
-
     covers = lat.covers
-    prefix = bytes([n])
-    best: bytes | None = None
+    lower: list[list[int]] = [[] for _ in range(n)]
+    upper: list[list[int]] = [[] for _ in range(n)]
+    height = [0] * n
+    for i, j in covers:  # sorted by i, and i < j, so heights settle in order
+        lower[j].append(i)
+        upper[i].append(j)
+        if height[j] <= height[i]:
+            height[j] = height[i] + 1
+
+    classes: dict[tuple, dict[tuple, list[int]]] = {}
+    for x in range(n):
+        key = (height[x], len(lower[x]), len(upper[x]))
+        twins = (tuple(lower[x]), tuple(upper[x]))
+        classes.setdefault(key, {}).setdefault(twins, []).append(x)
+    per_class = [
+        list(_arrangements(list(classes[key].values()))) for key in sorted(classes)
+    ]
+
+    best: list[int] | None = None
     pos = [0] * n
-    for combo in product(*(permutations(cls) for cls in ordered)):
+    for combo in product(*per_class):
         idx = 0
         for cls in combo:
             for x in cls:
                 pos[x] = idx
                 idx += 1
-        pairs = sorted((pos[i], pos[j]) for i, j in covers)
-        blob = prefix + bytes(b for pair in pairs for b in pair)
-        if best is None or blob < best:
-            best = blob
+        codes = [pos[i] << 6 | pos[j] for i, j in covers]
+        codes.sort()
+        if best is None or codes < best:
+            best = codes
     assert best is not None
-    return best
+    blob = bytearray([n])
+    for c in best:
+        blob += bytes((c >> 6, c & 63))
+    return bytes(blob)
 
 
 def canonical_lattice(form: bytes) -> Lattice:

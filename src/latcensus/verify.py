@@ -135,13 +135,17 @@ def con_spectrum(n: int) -> SpectrumReport:
     return SpectrumReport(n, "con", values, witnesses, verdicts)
 
 
-def _checked_records(
-    n: int, records: Optional[list[CensusRecord]], limit: int = SPECTRUM_LIMIT
-) -> list[CensusRecord]:
+def _check_size(n: int, limit: int) -> None:
     if n < 5:
         raise SizeTooSmall(f"extremal-count checks are stated for n >= 5, got {n}")
     if n > limit:
         raise SizeLimit(f"verification bounded at n <= {limit}, got {n}")
+
+
+def _checked_records(
+    n: int, records: Optional[list[CensusRecord]], limit: int = SPECTRUM_LIMIT
+) -> list[CensusRecord]:
+    _check_size(n, limit)
     return census_records(n) if records is None else records
 
 
@@ -320,14 +324,27 @@ CHECKS: dict[str, Callable[..., Verdict]] = {
     "lemma4": verify_antichain_bound,
     "remark1": verify_congruence_spectrum,
 }
+CHECK_LIMITS = {  # largest size each check verifies
+    "main": SPECTRUM_LIMIT,
+    "corollary": SPECTRUM_LIMIT,
+    "lemma4": SPECTRUM_LIMIT,
+    "remark1": GEN_LIMIT,
+}
 
 
 def run_checks(theorem: str, sizes: Iterable[int]) -> list[Verdict]:
     """Run the check named ``theorem`` at every size, or with ``"all"`` every
-    check in ``CHECKS`` order on one census per size."""
+    check in ``CHECKS`` order on one census per size.
+
+    Every size is checked against the limit of every selected check before
+    any census is built, so an out-of-range request fails at once.
+    """
     sizes = list(sizes)
     if not sizes:
         raise SizeTooSmall("no size to verify; the checks are stated for n >= 5")
+    limit = min(CHECK_LIMITS.values()) if theorem == "all" else CHECK_LIMITS[theorem]
+    for n in sizes:
+        _check_size(n, limit)
     if theorem != "all":
         return [CHECKS[theorem](n) for n in sizes]
     verdicts = []

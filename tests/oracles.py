@@ -9,8 +9,10 @@ from the cover relation.
 from __future__ import annotations
 
 import random
+from itertools import permutations, product
 
 from latcensus.canon import canonical_form
+from latcensus.congruence import _count_down_sets, join_irreducible_congruences
 from latcensus.core import Lattice, NotALattice, NotAPoset, from_covers, from_order_matrix
 
 
@@ -30,6 +32,58 @@ def lattice_class_forms_bruteforce(n: int) -> set[bytes]:
             continue
         forms.add(canonical_form(lat))
     return forms
+
+
+def canonical_form_bruteforce(lat: Lattice) -> bytes:
+    """``canonical_form`` by trying every permutation within each sorted
+    (height, #lower covers, #upper covers) class, twins included."""
+    n = lat.n
+    key = [
+        (lat.height[x], len(lat.lower_covers[x]), len(lat.upper_covers[x]))
+        for x in range(n)
+    ]
+    classes: dict[tuple[int, int, int], list[int]] = {}
+    for x in range(n):
+        classes.setdefault(key[x], []).append(x)
+    ordered = [classes[k] for k in sorted(classes)]
+
+    covers = lat.covers
+    prefix = bytes([n])
+    best: bytes | None = None
+    pos = [0] * n
+    for combo in product(*(permutations(cls) for cls in ordered)):
+        idx = 0
+        for cls in combo:
+            for x in cls:
+                pos[x] = idx
+                idx += 1
+        pairs = sorted((pos[i], pos[j]) for i, j in covers)
+        blob = prefix + bytes(b for pair in pairs for b in pair)
+        if best is None or blob < best:
+            best = blob
+    assert best is not None
+    return best
+
+
+def con_count_by_closures(lat: Lattice) -> int:
+    """|Con(L)| from the congruences themselves: close every cover pair by
+    substitution, order the distinct results by refinement, count down-sets."""
+    ji = join_irreducible_congruences(lat)
+    k = len(ji)
+    up = [1 << i for i in range(k)]
+    down = [1 << i for i in range(k)]
+    for i in range(k):
+        for j in range(k):
+            if i != j and ji[i].refines(ji[j]):
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    return _count_down_sets(up, down)
+
+
+def diamond(k: int) -> Lattice:
+    """M_k: a bottom, k pairwise incomparable atoms and a top."""
+    return from_covers(k + 2, [(0, a) for a in range(1, k + 1)]
+                       + [(a, k + 1) for a in range(1, k + 1)])
 
 
 def random_relabeling(lat: Lattice, rng: random.Random) -> Lattice:

@@ -3,7 +3,14 @@ import random
 import pytest
 
 from latcensus.canon import canonical_form, canonical_lattice, is_isomorphic
-from latcensus.census import CensusRecord, census_jsonl, census_records, enumerate_lattices
+from latcensus.census import (
+    CensusRecord,
+    _augmentations,
+    _census_classes,
+    census_jsonl,
+    census_records,
+    enumerate_lattices,
+)
 from latcensus.core import SizeLimit, build_expression, chain, direct_product, dual, named
 from latcensus.structure import CHAIN
 from latcensus.verify import (
@@ -14,7 +21,12 @@ from latcensus.verify import (
     verify_gap,
     verify_top_three,
 )
-from oracles import lattice_class_forms_bruteforce, random_relabeling
+from oracles import (
+    canonical_form_bruteforce,
+    diamond,
+    lattice_class_forms_bruteforce,
+    random_relabeling,
+)
 
 EXPECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222, 9: 1078}
 
@@ -32,6 +44,29 @@ def test_canonical_form_invariant_under_relabeling():
         form = canonical_form(lat)
         for _ in range(10):
             assert canonical_form(random_relabeling(lat, rng)) == form
+
+
+def test_canonical_form_matches_bruteforce_on_every_generation_child():
+    checked = 0
+    for n in range(1, 9):
+        for _, parent in _census_classes(n):
+            for child in _augmentations(parent):
+                assert canonical_form(child) == canonical_form_bruteforce(child)
+                checked += 1
+    assert checked == 3556
+
+
+@pytest.mark.parametrize(
+    "name", ["M3", "M4", "M5", "M6", "M7", "B4xC2", "M3xC2", "C2xC2xC2", "N5xC2"]
+)
+def test_canonical_form_matches_bruteforce_on_twin_heavy_relabelings(name):
+    lat = diamond(int(name[1:])) if name[1:].isdigit() else build_expression(name)
+    rng = random.Random(name)
+    form = canonical_form_bruteforce(lat)
+    assert canonical_form(lat) == form
+    for _ in range(10):
+        relabeled = random_relabeling(lat, rng)
+        assert canonical_form(relabeled) == canonical_form_bruteforce(relabeled) == form
 
 
 def test_canonical_form_size_limit():

@@ -1,7 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from latcensus import census as census_mod
 from latcensus import verify as verify_mod
 from latcensus.cli import main, normalized_count
 
@@ -208,6 +214,45 @@ def test_out_of_range_sizes_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "all", "--max-n", "9"],
+    ["verify", "--theorem", "main", "--max-n", "9"],
+    ["verify", "--theorem", "lemma4", "--size", "9"],
+    ["verify", "--theorem", "remark1", "--max-n", "10"],
+])
+def test_verify_refuses_out_of_limit_sizes_before_any_census(capsys, monkeypatch, argv):
+    def no_census(*args, **kwargs):
+        raise AssertionError("census built for a request that is refused")
+
+    monkeypatch.setattr(census_mod, "census_records", no_census)
+    monkeypatch.setattr(verify_mod, "census_records", no_census)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "verification bounded at n <=" in err
+
+
+@pytest.mark.parametrize("n,digest", [
+    (7, "49f954db50d4e9f10abc6f91caeb5668a77022a146360ac59faa504440b2819b"),
+    (8, "9e3ba2bb500e65007cef119c569a83f111087d9e6bbb80cc577362b3d3ddfce4"),
+])
+def test_census_with_con_bytes_are_pinned(capsys, n, digest):
+    code, out, _ = run(capsys, "census", "--size", str(n), "--with-con")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "latcensus", "count", "--expr", "C5"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"n": 5, "sub_count": 32, "normalized": "32*2^(5-5)"}
 
 
 def test_input_errors_exit_two(capsys, tmp_path):

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given
 
+import latcensus.congruence as con_mod
 from latcensus.canon import canonical_form
+from latcensus.census import _census_classes
 from latcensus.congruence import (
     Congruence,
     count_congruences,
@@ -11,9 +13,18 @@ from latcensus.congruence import (
     principal_congruence,
     with_con_counts,
 )
-from latcensus.core import IndexOutOfRange, SizeLimit, build_expression, chain, dual, named
+from latcensus.core import (
+    IndexOutOfRange,
+    SizeLimit,
+    build_expression,
+    chain,
+    direct_product,
+    dual,
+    named,
+)
 from latcensus.structure import CHAIN, GLUED_B4, GLUED_N5
 from latcensus.verify import con_spectrum, verify_congruence_spectrum
+from oracles import con_count_by_closures, diamond
 from strategies import lattice_expressions
 
 
@@ -96,11 +107,52 @@ def test_downset_count_matches_naive_named(name):
     assert count_congruences(lat) == count_congruences_naive(lat)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_downset_count_matches_naive_census(census, n):
     for rec in census(n):
         lat = rec.lattice()
         assert count_congruences(lat) == count_congruences_naive(lat)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_count_matches_closure_oracle_on_census(n):
+    for _, lat in _census_classes(n):
+        assert count_congruences(lat) == con_count_by_closures(lat)
+
+
+@pytest.mark.parametrize("k", range(3, 19))
+def test_count_matches_closure_oracle_on_diamonds(k):
+    lat = diamond(k)
+    assert count_congruences(lat) == con_count_by_closures(lat) == 2  # simple
+
+
+PRODUCT_FACTORS = ["C2", "C3", "C4", "C5", "B4", "N5", "M3", "N5+C2", "C2+M3"]
+
+
+def test_count_matches_closure_oracle_on_products():
+    checked = 0
+    for i, left in enumerate(PRODUCT_FACTORS):
+        for right in PRODUCT_FACTORS[i:]:
+            lat = direct_product(build_expression(left), build_expression(right))
+            if lat.n > 20:
+                continue
+            assert count_congruences(lat) == con_count_by_closures(lat), (left, right)
+            checked += 1
+    for expr in ("C2xC2xC2", "C2xC2xC2xC2", "B4xC5", "(N5+C2)xC2", "(M3+N5)xC2"):
+        lat = build_expression(expr)
+        assert count_congruences(lat) == con_count_by_closures(lat), expr
+        checked += 1
+    assert checked >= 25
+
+
+def test_count_congruences_builds_no_congruence(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("count_congruences closed a congruence")
+
+    monkeypatch.setattr(con_mod, "principal_congruence", refuse)
+    monkeypatch.setattr(con_mod, "join_irreducible_congruences", refuse)
+    assert count_congruences(named("N5")) == 5
+    assert count_congruences(build_expression("(C2xC3)+C2")) == 16
 
 
 def test_join_irreducible_congruences_dedup():
