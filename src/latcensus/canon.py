@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import permutations, product
 from typing import Iterator
 
-from .core import Lattice, SizeLimit, from_covers
+from .core import Lattice, LatticeError, SizeLimit, from_covers
 
 CANON_LIMIT = 12  # permutation search bound
 
@@ -63,7 +63,9 @@ def canonical_form(lat: Lattice) -> bytes:
     """Relabel-invariant byte string identifying the isomorphism class.
 
     Layout: one byte for n followed by the relabeled cover pairs in sorted
-    order, two bytes each.
+    order, two bytes each.  Only ``lat.n`` and ``lat.covers`` are read, so
+    any exact cover list sorted by lower element will do, such as a
+    generation child that has not been built as a ``Lattice``.
     """
     n = lat.n
     if n > CANON_LIMIT:
@@ -107,11 +109,18 @@ def canonical_form(lat: Lattice) -> bytes:
 
 
 def canonical_lattice(form: bytes) -> Lattice:
-    """Rebuild the canonically labeled representative from its form."""
+    """Rebuild the canonically labeled representative from its form.
+
+    The validating ``from_covers`` builds it, and its covers must be exactly
+    the form's pairs: a list that is not a transitive reduction is refused.
+    """
     n = form[0]
     body = form[1:]
-    pairs = [(body[k], body[k + 1]) for k in range(0, len(body), 2)]
-    return from_covers(n, pairs)
+    pairs = tuple((body[k], body[k + 1]) for k in range(0, len(body), 2))
+    lat = from_covers(n, pairs)
+    if lat.covers != pairs:
+        raise LatticeError(f"form {form.hex()} lists pairs that are not covers")
+    return lat
 
 
 def is_isomorphic(first: Lattice, second: Lattice) -> bool:

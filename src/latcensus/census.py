@@ -7,9 +7,19 @@ augmentation from the singleton lattice and rejecting duplicates by
 canonical form yields exactly one representative per isomorphism class:
 1, 1, 1, 2, 5, 15, 53, 222, 1078 classes for n = 1..9.
 
+A child stays a cover list (``Child``) until its canonical form is known
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998): the
+augmentation appends exactly the new cover pairs, so no closure, validation
+or operation table is built for it.  One ``Lattice`` is built per class, from
+its canonical form, by the validating ``from_covers``, and
+``canonical_lattice`` checks that the rebuilt covers are the form's pairs.
+Every duplicate child has the same relabeled cover list as that lattice, so
+it is validated by isomorphism.
+
 Each class is analyzed into a ``CensusRecord`` (subuniverse count, shape,
-3-antichain) and written as one JSONL line; the verdicts over these records
-live in ``verify``.
+3-antichain, and on request the congruence count, taken on the lattice the
+generator holds) and written as one JSONL line; the verdicts over these
+records live in ``verify``.
 """
 
 from __future__ import annotations
@@ -17,10 +27,11 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Optional
+from functools import lru_cache, partial
+from typing import Iterator, NamedTuple, Optional
 
 from .canon import canonical_form, canonical_lattice
+from .congruence import count_congruences
 from .core import Lattice, SizeLimit, SizeTooSmall, bit_indices, from_covers
 from .structure import classify, find_antichain
 from .subuniverse import count_subuniverses
@@ -28,17 +39,28 @@ from .subuniverse import count_subuniverses
 GEN_LIMIT = 9
 
 
-def _augmentations(parent: Lattice) -> Iterator[Lattice]:
+class Child(NamedTuple):
+    """A generated lattice before it is accepted: its size and its exact
+    cover relation, sorted, in linear-extension indexing.  ``canonical_form``
+    reads only these two fields."""
+
+    n: int
+    covers: tuple[tuple[int, int], ...]
+
+
+def _augmentations(parent: Lattice) -> Iterator[Child]:
     """All one-element extensions of a lattice (with duplicates).
 
     The new element lands just below a re-added top: strip the parent's top,
     pick a down-set D of the remainder that contains the bottom and has a
     greatest element inside every principal ideal it meets, attach the new
-    element above D, and close with a fresh top.
+    element above D, and close with a fresh top.  The covers of the child
+    are the parent's covers inside the body, (d, new) for the maximal d of
+    D, (y, top) for the body-maximal y outside D, and (new, top).
     """
     m = parent.n
     if m == 1:
-        yield from_covers(2, [(0, 1)])
+        yield Child(2, ((0, 1),))
         return
     body = m - 1  # indices 0..m-2 survive; new element m-1; new top m
     body_mask = (1 << body) - 1
@@ -72,22 +94,22 @@ def _augmentations(parent: Lattice) -> Iterator[Lattice]:
             if not d_mask >> y & 1:
                 pairs.append((y, m))
         pairs.append((body, m))
-        yield from_covers(m + 1, pairs)
+        pairs.sort()  # canonical_form's height pass needs them ordered by i
+        yield Child(m + 1, tuple(pairs))
 
 
 @lru_cache(maxsize=None)
 def _census_classes(n: int) -> tuple[tuple[bytes, Lattice], ...]:
     """Canonically labeled representatives of all n-element lattice classes,
-    sorted by canonical form."""
+    sorted by canonical form: one validated ``Lattice`` per class."""
     if n == 1:
-        single = from_covers(1, [])
-        return ((canonical_form(single), single),)
-    seen: dict[bytes, None] = {}
-    for _, parent in _census_classes(n - 1):
-        for child in _augmentations(parent):
-            form = canonical_form(child)
-            if form not in seen:
-                seen[form] = None
+        seen = {canonical_form(Child(1, ()))}
+    else:
+        seen = {
+            canonical_form(child)
+            for _, parent in _census_classes(n - 1)
+            for child in _augmentations(parent)
+        }
     return tuple((form, canonical_lattice(form)) for form in sorted(seen))
 
 
@@ -151,7 +173,7 @@ class CensusRecord:
         return from_covers(self.n, self.covers)
 
 
-def _analyze(item: tuple[bytes, Lattice]) -> CensusRecord:
+def _analyze(item: tuple[bytes, Lattice], with_con: bool = False) -> CensusRecord:
     form, lat = item
     return CensusRecord(
         n=lat.n,
@@ -160,21 +182,24 @@ def _analyze(item: tuple[bytes, Lattice]) -> CensusRecord:
         sub_count=count_subuniverses(lat),
         classification=classify(lat).tag,
         has_antichain3=find_antichain(lat, 3) is not None,
+        con_count=count_congruences(lat) if with_con else None,
     )
 
 
-def census_records(n: int, jobs: int = 1) -> list[CensusRecord]:
+def census_records(n: int, jobs: int = 1, with_con: bool = False) -> list[CensusRecord]:
     """Analyzed census for size n, sorted by canonical form.
 
+    ``with_con`` fills ``con_count`` from the class lattices already held.
     ``jobs`` > 1 fans the per-class analysis out to worker processes; the
     output is identical regardless of the worker count.
     """
     _check_census_size(n)
     items = _census_classes(n)
+    analyze = partial(_analyze, with_con=with_con)
     if jobs <= 1 or len(items) < 2:
-        return [_analyze(item) for item in items]
+        return list(map(analyze, items))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_analyze, items, chunksize=16))
+        return list(pool.map(analyze, items, chunksize=16))
 
 
 def census_jsonl(records: list[CensusRecord]) -> str:

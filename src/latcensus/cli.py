@@ -38,11 +38,22 @@ def normalized_count(count: int, n: int) -> Optional[str]:
 
 
 def load_lattice_file(path: str) -> Lattice:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
+        raise LatticeError(f"{path}: not readable as JSON: {exc}") from None
     if not isinstance(data, dict) or "n" not in data or "covers" not in data:
         raise LatticeError(f"{path}: expected an object with 'n' and 'covers'")
-    return from_covers(data["n"], [tuple(pair) for pair in data["covers"]])
+    n, covers = data["n"], data["covers"]
+    if type(n) is not int:  # also refuses true and false
+        raise LatticeError(f"{path}: 'n' must be an integer, got {type(n).__name__}")
+    if not isinstance(covers, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(type(x) is int for x in pair)
+        for pair in covers
+    ):
+        raise LatticeError(f"{path}: 'covers' must be a list of [i, j] integer pairs")
+    return from_covers(n, [tuple(pair) for pair in covers])
 
 
 def lattice_json(lat: Lattice) -> dict:
@@ -158,9 +169,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_census(args) -> int:
-    records = census_mod.census_records(args.size, jobs=args.jobs)
-    if args.with_con:
-        records = con_mod.with_con_counts(records)
+    records = census_mod.census_records(args.size, jobs=args.jobs, with_con=args.with_con)
     if args.format == "table":
         rows = [
             f"{rec.canon}  sub={rec.sub_count}"
@@ -286,10 +295,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except LatticeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (LatticeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

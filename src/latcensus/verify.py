@@ -121,7 +121,7 @@ def spectrum(n: int) -> SpectrumReport:
 
 def con_spectrum(n: int) -> SpectrumReport:
     """All congruence-count values over n-element lattices, with witnesses."""
-    records = with_con_counts(census_records(n))
+    records = census_records(n, with_con=True)
     values, witnesses = _group_by_value(
         [(rec.con_count, rec.canon) for rec in records]
     )
@@ -143,10 +143,13 @@ def _check_size(n: int, limit: int) -> None:
 
 
 def _checked_records(
-    n: int, records: Optional[list[CensusRecord]], limit: int = SPECTRUM_LIMIT
+    n: int,
+    records: Optional[list[CensusRecord]],
+    limit: int = SPECTRUM_LIMIT,
+    with_con: bool = False,
 ) -> list[CensusRecord]:
     _check_size(n, limit)
-    return census_records(n) if records is None else records
+    return census_records(n, with_con=with_con) if records is None else records
 
 
 def _top_three(n: int) -> tuple[int, int, int]:
@@ -278,8 +281,8 @@ def verify_congruence_spectrum(
     top values there are 16, 8, 5, 2).  The top three witness sets must be
     exactly the chain / glued-B4 / glued-N5 classes.
     """
-    records = _checked_records(n, records, GEN_LIMIT)
-    if any(rec.con_count is None for rec in records):
+    records = _checked_records(n, records, GEN_LIMIT, with_con=True)
+    if any(rec.con_count is None for rec in records):  # records passed in
         records = with_con_counts(records)
 
     # 16, 8, 5, 4, 3.5 in units of 2^(n-5); 3.5*2^(n-5) = 7*2^(n-6)
@@ -349,6 +352,6 @@ def run_checks(theorem: str, sizes: Iterable[int]) -> list[Verdict]:
         return [CHECKS[theorem](n) for n in sizes]
     verdicts = []
     for n in sizes:
-        records = census_records(n)
+        records = census_records(n, with_con=True)
         verdicts.extend(check(n, records=records) for check in CHECKS.values())
     return verdicts

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from latcensus import canon as canon_mod
+from latcensus import census as census_mod
 from latcensus.canon import canonical_form, canonical_lattice, is_isomorphic
 from latcensus.census import (
     CensusRecord,
@@ -11,7 +13,16 @@ from latcensus.census import (
     census_records,
     enumerate_lattices,
 )
-from latcensus.core import SizeLimit, build_expression, chain, direct_product, dual, named
+from latcensus.core import (
+    LatticeError,
+    SizeLimit,
+    build_expression,
+    chain,
+    direct_product,
+    dual,
+    from_covers,
+    named,
+)
 from latcensus.structure import CHAIN
 from latcensus.verify import (
     Verdict,
@@ -47,13 +58,42 @@ def test_canonical_form_invariant_under_relabeling():
 
 
 def test_canonical_form_matches_bruteforce_on_every_generation_child():
+    """Every child cover list is a lattice's exact cover relation, and its
+    canonical form is the brute-force form of that lattice."""
     checked = 0
     for n in range(1, 9):
         for _, parent in _census_classes(n):
             for child in _augmentations(parent):
-                assert canonical_form(child) == canonical_form_bruteforce(child)
+                lat = from_covers(child.n, child.covers)
+                assert lat.covers == child.covers
+                assert canonical_form(child) == canonical_form_bruteforce(lat)
                 checked += 1
     assert checked == 3556
+
+
+def test_census_builds_one_lattice_per_class(monkeypatch):
+    """Generation plus analysis with congruences builds exactly one Lattice
+    per class, 1378 = 1+1+1+2+5+15+53+222+1078 for n <= 9; the cache is
+    left holding the lattices this run built."""
+    built = []
+
+    def counting_from_covers(n, covers):
+        built.append(n)
+        return from_covers(n, covers)
+
+    monkeypatch.setattr(census_mod, "from_covers", counting_from_covers)
+    monkeypatch.setattr(canon_mod, "from_covers", counting_from_covers)
+    _census_classes.cache_clear()
+    records = census_records(9, with_con=True)
+    assert len(built) == sum(EXPECTED_CLASS_COUNTS.values()) == 1378
+    assert len(records) == 1078
+    assert all(rec.con_count is not None for rec in records)
+
+
+def test_canonical_lattice_refuses_pairs_that_are_not_covers():
+    form = bytes([3, 0, 1, 0, 2, 1, 2])  # (0, 2) is implied by 0 < 1 < 2
+    with pytest.raises(LatticeError, match="not covers"):
+        canonical_lattice(form)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from latcensus import census as census_mod
 from latcensus import verify as verify_mod
@@ -139,6 +143,16 @@ def test_census_rerun_and_jobs_identical(capsys, tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+def test_census_with_con_identical_for_any_jobs(capsys):
+    outs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, "census", "--size", "7", "--with-con", "--jobs", jobs)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0].encode()).hexdigest().startswith("49f954db50d4e9f1")
+
+
 def test_verify_main_passes(capsys):
     payload = run_json(capsys, "verify", "--theorem", "main", "--size", "5")
     assert payload["passed"] is True
@@ -270,6 +284,52 @@ def test_input_errors_exit_two(capsys, tmp_path):
     bad.write_text('{"covers": []}')
     code, _, err = run(capsys, "count", "--file", str(bad))
     assert code == 2 and "expected an object" in err
+
+
+@pytest.mark.parametrize("data", [
+    b'{"n": "3", "covers": [[0, 1], [1, 2]]}',
+    b'{"n": 3, "covers": "ab"}',
+    b'{"n": 3, "covers": [[0, 1, 2]]}',
+    b'{"n": 3, "covers": [[0.5, 1]]}',
+    b'{"n": 3, "covers": [null]}',
+    b'{"n": 3, "covers": [[0]]}',
+    b'{"n": true, "covers": []}',
+    b'{"n": 2, "covers": [[false, true]]}',
+    b'{"n": 3, "covers": [[0, 1], [1, 2]]',
+    b'{"n": 1' + b'0' * 5000 + b', "covers": []}',
+    b'[' * 100000 + b']' * 100000,
+    b'\xff{"n": 1, "covers": []}',
+], ids=[
+    "n-string", "covers-string", "triple", "float", "null", "single", "n-bool",
+    "bool-pair", "truncated", "5001-digits", "deep-nesting", "not-utf8",
+])
+def test_malformed_lattice_file_exits_two(capsys, tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "count", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 70) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=12,
+)
+_COVER_LISTS = st.lists(st.lists(st.integers(-1, 9), min_size=0, max_size=3), max_size=12)
+
+
+@given(n=st.integers(-1, 12) | _JSON_VALUES, covers=_COVER_LISTS | _JSON_VALUES)
+def test_any_json_lattice_file_exits_zero_or_two(tmp_path_factory, n, covers):
+    path = tmp_path_factory.mktemp("fuzz") / "lattice.json"
+    path.write_text(json.dumps({"n": n, "covers": covers}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["con-count", "--file", str(path)])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or err.getvalue().startswith("error:")
 
 
 def test_exactly_one_input_source(capsys):
