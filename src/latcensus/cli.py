@@ -10,16 +10,20 @@ report), 2 on input errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
-from typing import Optional
+from typing import Callable, Iterator, Optional, TextIO
 
 from . import census as census_mod
 from . import congruence as con_mod
 from . import structure
 from . import verify as verify_mod
 from .core import Lattice, LatticeError, build_expression, from_covers
-from .subuniverse import count_subuniverses, enumerate_subuniverses
+from .subuniverse import ENUM_LIMIT, count_subuniverses, enumerate_subuniverses
+
+ENUM_CHUNK = 8192  # subuniverses rendered per write by ``enumerate``
 
 
 def normalized_count(count: int, n: int) -> Optional[str]:
@@ -66,12 +70,18 @@ def _input_lattice(args) -> Lattice:
     return load_lattice_file(args.file)
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+@contextlib.contextmanager
+def _output(out: Optional[str]) -> Iterator[TextIO]:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text: str, out: Optional[str]) -> None:
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _emit_payload(payload: dict, args) -> None:
@@ -117,16 +127,52 @@ def cmd_con_count(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
+def _member_text(sep: str) -> Callable[[int], str]:
+    """mask -> its members in increasing order, each written as sep + decimal.
+
+    Each byte of the mask picks one of 256 precomputed strings; three bytes
+    cover ENUM_LIMIT.  The tables are built once per process and separator.
+    """
+    a, b, c = (
+        tuple("".join(f"{sep}{8 * k + i}" for i in range(8) if v >> i & 1) for v in range(256))
+        for k in range((ENUM_LIMIT + 7) // 8)
+    )
+    return lambda m: a[m & 255] + b[m >> 8 & 255] + c[m >> 16 & 255]
+
+
+def _enumerate_layout(fmt: str, n: int, count: int) -> tuple[str, Callable[[int], str], str, str]:
+    """(head, render, sep, tail): ``enumerate`` writes head, then
+    render(mask) for each subuniverse joined by sep, then tail.  These are
+    the bytes of json.dumps of the member lists: one list per line for
+    jsonl, one indent=2 payload for json."""
+    if fmt == "json":
+        members = _member_text(",\n      ")
+
+        def render(m: int) -> str:
+            text = members(m)
+            return f"    [{text[1:]}\n    ]" if text else "    []"
+
+        head = f'{{\n  "n": {n},\n  "count": {count},\n  "subuniverses": [\n'
+        return head, render, ",\n", "\n  ]\n}\n"
+    if fmt == "jsonl":
+        members = _member_text(", ")
+        return "", lambda m: f"[{members(m)[2:]}]", "\n", "\n"
+    members = _member_text(" ")
+    return "", lambda m: f"size {m.bit_count()}: {members(m)[1:] or '-'}", "\n", "\n"
+
+
 def cmd_enumerate(args) -> int:
     lat = _input_lattice(args)
-    subs = [list(s.members) for s in enumerate_subuniverses(lat)]
-    if args.format == "jsonl":
-        _emit("".join(json.dumps(s) + "\n" for s in subs), args.out)
-    elif args.format == "table":
-        rows = [f"size {len(s)}: {' '.join(map(str, s)) or '-'}" for s in subs]
-        _emit("\n".join(rows) + "\n", args.out)
-    else:
-        _emit_payload({"n": lat.n, "count": len(subs), "subuniverses": subs}, args)
+    # drained before --out is opened, so that a refused size leaves it alone
+    masks = [sub.mask for sub in enumerate_subuniverses(lat)]
+    head, render, sep, tail = _enumerate_layout(args.format, lat.n, len(masks))
+    with _output(args.out) as fh:
+        prefix = head
+        for start in range(0, len(masks), ENUM_CHUNK):
+            fh.write(prefix + sep.join(map(render, masks[start : start + ENUM_CHUNK])))
+            prefix = sep
+        fh.write(tail)
     return 0
 
 

@@ -7,7 +7,9 @@ lattice at its cuts (elements comparable to everything) into glued blocks,
 tallies each block's closed subsets by whether they hold the block's bottom
 and top, and multiplies those 2x2 tables; a 2-element block needs no scan,
 which is what makes chains O(n) instead of O(2^n).  Enumeration runs the
-same scan over the whole lattice.
+same scan over the whole lattice and needs no sort: the scan meets the
+subsets of each size in exactly the reverse of member-tuple order, so
+bucketing by size and reading each bucket backwards gives the output order.
 """
 
 from __future__ import annotations
@@ -181,25 +183,35 @@ def count_subuniverses_naive(lat: Lattice) -> int:
 
 
 def enumerate_subuniverses(lat: Lattice) -> Iterator[Subuniverse]:
-    """Yield every subuniverse once, ordered by size then member tuple."""
+    """Yield every subuniverse once, ordered by size then member tuple.
+
+    ``_scan`` decides indices in increasing order, excluding each one
+    before including it.  Two subsets of equal size first differ at the
+    smallest index i of their symmetric difference: the one holding i comes
+    first as a member tuple but is reached second by the scan.  So within
+    one size the scan order is exactly the reverse of tuple order, and the
+    masks are bucketed by size and each bucket read backwards; no sort key
+    is computed.
+    """
     if lat.n > ENUM_LIMIT:
         raise SizeLimit(f"enumeration bounded at n <= {ENUM_LIMIT}, got {lat.n}")
-    masks: list[int] = []
-    _scan(lat, 0, lat.n - 1, masks.append)
-    masks.sort(key=lambda m: (m.bit_count(), tuple(bit_indices(m))))
-    for mask in masks:
-        yield Subuniverse(mask)
+    buckets: list[list[int]] = [[] for _ in range(lat.n + 1)]
+    _scan(lat, 0, lat.n - 1, lambda mask: buckets[mask.bit_count()].append(mask))
+    for bucket in buckets:
+        for mask in reversed(bucket):
+            yield Subuniverse(mask)
 
 
 def trace_count(lat: Lattice, subset: Union[int, Iterable[int], Subuniverse]) -> int:
     """Number of distinct intersections of the subset with subuniverses.
 
     For any H this satisfies |Sub(L)| <= trace_count(L, H) * 2^(n - |H|),
-    since each trace has at most 2^(n-|H|) preimages.
+    since each trace has at most 2^(n-|H|) preimages.  Only the distinct
+    traces are held, never the subuniverses themselves.
     """
     if lat.n > ENUM_LIMIT:
         raise SizeLimit(f"trace count bounded at n <= {ENUM_LIMIT}, got {lat.n}")
     h = _as_mask(lat, subset)
-    masks: list[int] = []
-    _scan(lat, 0, lat.n - 1, masks.append)
-    return len({m & h for m in masks})
+    traces: set[int] = set()
+    _scan(lat, 0, lat.n - 1, lambda mask: traces.add(mask & h))
+    return len(traces)

@@ -8,12 +8,21 @@ from the cover relation.
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import permutations, product
 
 from latcensus.canon import canonical_form
 from latcensus.congruence import _count_down_sets, join_irreducible_congruences
-from latcensus.core import Lattice, NotALattice, NotAPoset, from_covers, from_order_matrix
+from latcensus.core import (
+    Lattice,
+    NotALattice,
+    NotAPoset,
+    bit_indices,
+    from_covers,
+    from_order_matrix,
+)
+from latcensus.subuniverse import _scan
 
 
 def lattice_class_forms_bruteforce(n: int) -> set[bytes]:
@@ -78,6 +87,23 @@ def con_count_by_closures(lat: Lattice) -> int:
                 up[i] |= 1 << j
                 down[j] |= 1 << i
     return _count_down_sets(up, down)
+
+
+def enumerate_output(lat: Lattice, fmt: str) -> str:
+    """``latcensus enumerate`` output in format ``fmt``, rendered as it was
+    first written: the closed subsets from one scan, sorted by (size, member
+    tuple), then json.dumps per line, ``size k: ...`` rows, or one indent=2
+    payload.  Only the set of subsets comes from the program."""
+    masks: list[int] = []
+    _scan(lat, 0, lat.n - 1, masks.append)
+    masks.sort(key=lambda m: (m.bit_count(), tuple(bit_indices(m))))
+    subs = [list(bit_indices(m)) for m in masks]
+    if fmt == "jsonl":
+        return "".join(json.dumps(s) + "\n" for s in subs)
+    if fmt == "table":
+        rows = [f"size {len(s)}: {' '.join(map(str, s)) or '-'}" for s in subs]
+        return "\n".join(rows) + "\n"
+    return json.dumps({"n": lat.n, "count": len(subs), "subuniverses": subs}, indent=2) + "\n"
 
 
 def diamond(k: int) -> Lattice:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,10 @@ from hypothesis import strategies as st
 
 from latcensus import census as census_mod
 from latcensus import verify as verify_mod
-from latcensus.cli import main, normalized_count
+from latcensus.cli import ENUM_CHUNK, lattice_json, main, normalized_count
+from latcensus.core import build_expression, chain
+from oracles import diamond, enumerate_output, random_relabeling
+from strategies import lattice_expressions
 
 
 def run(capsys, *argv):
@@ -100,6 +104,97 @@ def test_enumerate_formats(capsys):
     assert [json.loads(line) for line in out.strip().split("\n")] == [
         [], [0], [1], [0, 1]
     ]
+
+
+ENUM_FORMATS = ("json", "jsonl", "table")
+
+
+def _enumerate_text(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["enumerate", *argv]) == 0
+    return out.getvalue()
+
+
+def _assert_same_text(got: str, want: str, what: str) -> None:
+    # not a plain ==: pytest would diff outputs of up to a megabyte on failure
+    if got != want:
+        pairs = zip(got.splitlines(), want.splitlines())
+        line = next((i for i, (g, w) in enumerate(pairs) if g != w), "end")
+        pytest.fail(f"{what}: output differs from the oracle at line {line}")
+
+
+def _assert_enumerate_matches_oracle(lat, path):
+    path.write_text(json.dumps(lattice_json(lat)))
+    for fmt in ENUM_FORMATS:
+        got = _enumerate_text(["--file", str(path), "--format", fmt])
+        _assert_same_text(got, enumerate_output(lat, fmt), fmt)
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_enumerate_bytes_match_oracle_on_diamonds(tmp_path, k):
+    _assert_enumerate_matches_oracle(diamond(k), tmp_path / "m.json")
+
+
+@pytest.mark.parametrize("expr", ["C2xC2xC4", "C3xC4", "C2xC8", "C4xC5", "C3xC6", "C2xC2xC5"])
+def test_enumerate_bytes_match_oracle_on_relabeled_chain_products(tmp_path, expr):
+    rng = random.Random(expr)
+    lat = random_relabeling(build_expression(expr), rng)
+    _assert_enumerate_matches_oracle(lat, tmp_path / "p.json")
+
+
+@given(expr=lattice_expressions(max_size=16), seed=st.integers(0, 2**32 - 1))
+def test_enumerate_bytes_match_oracle_on_random_lattices(tmp_path_factory, expr, seed):
+    lat = random_relabeling(build_expression(expr), random.Random(seed))
+    _assert_enumerate_matches_oracle(lat, tmp_path_factory.mktemp("enum") / "l.json")
+
+
+# SHA-256 prefixes of the output as first released
+@pytest.mark.parametrize(
+    "expr,fmt,digest",
+    [
+        ("C2xC2xC4", "jsonl", "12cfa38f0ffc25dc"),
+        ("C2xC2xC4", "table", "a9a09cc1d3c12b83"),
+        ("C2xC2xC4", "json", "d12133100adf3654"),
+        ("M3+B4", "jsonl", "7e41f4cbb75a87e5"),
+        ("M3+B4", "table", "38c87d788a884bbf"),
+        ("M3+B4", "json", "995bc149951fe40a"),
+        ("N5xC2", "jsonl", "e2dff8d6d8e0908e"),
+        ("N5xC2", "table", "54f2944c3301277d"),
+        ("N5xC2", "json", "7099cece01af9c7e"),
+    ],
+)
+def test_enumerate_bytes_are_pinned(expr, fmt, digest):
+    text = _enumerate_text(["--expr", expr, "--format", fmt])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+class _WriteLog:
+    def __init__(self) -> None:
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+
+def test_enumerate_streams_in_bounded_chunks():
+    sink = _WriteLog()
+    with contextlib.redirect_stdout(sink):
+        assert main(["enumerate", "--expr", "C16", "--format", "jsonl"]) == 0
+    lines = 2**16  # one per subuniverse of C16
+    assert ENUM_CHUNK < lines and len(sink.writes) > lines // ENUM_CHUNK
+    assert max(w.count("\n") for w in sink.writes) <= ENUM_CHUNK
+    _assert_same_text("".join(sink.writes), enumerate_output(chain(16), "jsonl"), "C16")
+
+
+def test_enumerate_refusal_leaves_out_file_untouched(capsys, tmp_path):
+    path = tmp_path / "keep.txt"
+    path.write_bytes(b"earlier output\n")
+    code, out, err = run(capsys, "enumerate", "--expr", "C21", "--out", str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert path.read_bytes() == b"earlier output\n"
 
 
 def test_con_count(capsys):

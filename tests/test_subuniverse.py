@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from latcensus.core import (
     EmptyGenerator,
     SizeLimit,
+    bit_indices,
     build_expression,
     chain,
     dual,
@@ -85,6 +88,20 @@ def test_enumerate_matches_count_and_is_deterministic():
         assert sizes == sorted(sizes)
 
 
+@given(expr=lattice_expressions(max_size=16), seed=st.integers(0, 2**32 - 1))
+def test_enumerate_order_is_size_then_member_tuple(expr, seed):
+    lat = random_relabeling(build_expression(expr), random.Random(seed))
+    masks = [s.mask for s in enumerate_subuniverses(lat)]
+    key = [(m.bit_count(), tuple(bit_indices(m))) for m in masks]
+    assert all(a < b for a, b in zip(key, key[1:]))  # ordered, no repeats
+    assert len(masks) == count_subuniverses(lat)
+
+
+def test_enumerate_is_a_generator_function():
+    # timing wrappers detect it as a generator function and drain it in their span
+    assert inspect.isgeneratorfunction(enumerate_subuniverses)
+
+
 def test_b8_size_breakdown():
     counts = Counter(len(s) for s in enumerate_subuniverses(named("B8")))
     assert [counts.get(k, 0) for k in range(9)] == [1, 8, 19, 18, 15, 6, 6, 0, 1]
@@ -124,6 +141,14 @@ def test_trace_count_examples():
     assert trace_count(b4, range(4)) == total
     t = trace_count(b4, {1, 2})
     assert t == 4 and total <= t * 2 ** (4 - 2)
+
+
+@given(expr=lattice_expressions(max_size=12), seed=st.integers(0, 2**32 - 1), h=st.integers(0))
+def test_trace_count_is_the_number_of_distinct_traces(expr, seed, h):
+    lat = random_relabeling(build_expression(expr), random.Random(seed))
+    h &= lat.full_mask
+    traces = {s.mask & h for s in enumerate_subuniverses(lat)}
+    assert trace_count(lat, h) == len(traces)
 
 
 def test_trace_bound_on_small_census(census):
