@@ -23,9 +23,7 @@ from __future__ import annotations
 from itertools import permutations, product
 from typing import Iterator
 
-from .core import Lattice, LatticeError, SizeLimit, from_covers
-
-CANON_LIMIT = 12  # permutation search bound
+from .core import CANON_LIMIT, Lattice, LatticeError, check_size, from_covers
 
 
 def _arrangements(groups: list[list[int]]) -> Iterator[list[int]]:
@@ -68,8 +66,7 @@ def canonical_form(lat: Lattice) -> bytes:
     generation child that has not been built as a ``Lattice``.
     """
     n = lat.n
-    if n > CANON_LIMIT:
-        raise SizeLimit(f"canonical form bounded at n <= {CANON_LIMIT}, got {n}")
+    check_size("canonical form", n, CANON_LIMIT)
     covers = lat.covers
     lower: list[list[int]] = [[] for _ in range(n)]
     upper: list[list[int]] = [[] for _ in range(n)]

@@ -25,6 +25,7 @@ records live in ``verify``.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -32,11 +33,11 @@ from typing import Iterator, NamedTuple, Optional
 
 from .canon import canonical_form, canonical_lattice
 from .congruence import count_congruences
-from .core import Lattice, SizeLimit, SizeTooSmall, bit_indices, from_covers
+from .core import GEN_LIMIT, Lattice, SizeTooSmall, bit_indices, check_size, from_covers
 from .structure import classify, find_antichain
 from .subuniverse import count_subuniverses
 
-GEN_LIMIT = 9
+CHUNK = 16  # classes per task handed to an analysis worker
 
 
 class Child(NamedTuple):
@@ -116,8 +117,7 @@ def _census_classes(n: int) -> tuple[tuple[bytes, Lattice], ...]:
 def _check_census_size(n: int) -> None:
     if n < 1:
         raise SizeTooSmall(f"lattice size must be >= 1, got {n}")
-    if n > GEN_LIMIT:
-        raise SizeLimit(f"census generation bounded at n <= {GEN_LIMIT}, got {n}")
+    check_size("census generation", n, GEN_LIMIT)
 
 
 def enumerate_lattices(n: int) -> Iterator[Lattice]:
@@ -190,16 +190,18 @@ def census_records(n: int, jobs: int = 1, with_con: bool = False) -> list[Census
     """Analyzed census for size n, sorted by canonical form.
 
     ``with_con`` fills ``con_count`` from the class lattices already held.
-    ``jobs`` > 1 fans the per-class analysis out to worker processes; the
-    output is identical regardless of the worker count.
+    ``jobs`` > 1 fans the per-class analysis out to worker processes, at
+    most one per CPU and per chunk of ``CHUNK`` classes, and runs in process
+    when that leaves one; the output is identical for any ``jobs``.
     """
     _check_census_size(n)
     items = _census_classes(n)
     analyze = partial(_analyze, with_con=with_con)
-    if jobs <= 1 or len(items) < 2:
+    workers = min(jobs, os.cpu_count() or 1, -(-len(items) // CHUNK))
+    if workers <= 1:
         return list(map(analyze, items))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(analyze, items, chunksize=16))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(analyze, items, chunksize=CHUNK))
 
 
 def census_jsonl(records: list[CensusRecord]) -> str:

@@ -20,8 +20,15 @@ from . import census as census_mod
 from . import congruence as con_mod
 from . import structure
 from . import verify as verify_mod
-from .core import Lattice, LatticeError, build_expression, from_covers
-from .subuniverse import ENUM_LIMIT, count_subuniverses, enumerate_subuniverses
+from .core import (
+    ENUM_LIMIT,
+    GEN_LIMIT,
+    Lattice,
+    LatticeError,
+    build_expression,
+    from_covers,
+)
+from .subuniverse import count_subuniverses, enumerate_subuniverses
 
 ENUM_CHUNK = 8192  # subuniverses rendered per write by ``enumerate``
 
@@ -285,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(fn=cmd_con_count)
 
-    p = sub.add_parser("enumerate", help="list all subuniverses (n <= 20)")
+    p = sub.add_parser("enumerate", help=f"list all subuniverses (n <= {ENUM_LIMIT})")
     _add_input_flags(p)
     _add_output_flags(p, formats=("json", "jsonl", "table"))
     p.set_defaults(fn=cmd_enumerate)
@@ -306,14 +313,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_info)
 
     p = sub.add_parser("census", help="all isomorphism classes of a given size")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1, help="parallel analysis workers")
+    p.add_argument("--size", type=int, required=True, help=f"lattice size, 1..{GEN_LIMIT}")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="parallel analysis workers, at most one per CPU"
+    )
     p.add_argument("--with-con", action="store_true", help="include congruence counts")
     _add_output_flags(p, formats=("jsonl", "table"))
     p.set_defaults(fn=cmd_census)
 
     p = sub.add_parser("spectrum", help="distinct count values with witnesses")
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=int, required=True, help=f"lattice size, 1..{GEN_LIMIT}")
     p.add_argument("--kind", choices=("sub", "con"), default="sub")
     _add_output_flags(p)
     p.set_defaults(fn=cmd_spectrum)
@@ -328,8 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
         "remark1: largest congruence counts and shapes; all: every check "
         "on one census per size",
     )
-    p.add_argument("--size", type=int, help="single census size to check")
-    p.add_argument("--max-n", type=int, help="check every size from 5 up to this")
+    p.add_argument("--size", type=int, help=f"single census size to check, 5..{GEN_LIMIT}")
+    p.add_argument(
+        "--max-n", type=int, help=f"check every size from 5 up to this, at most {GEN_LIMIT}"
+    )
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
 

@@ -25,10 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
-from .core import Lattice, SizeLimit, bit_indices
-
-COUNT_LIMIT = 20
-NAIVE_LIMIT = 8  # Bell(8) = 4140 partitions
+from .core import COUNT_LIMIT, NAIVE_LIMIT, Lattice, bit_indices, check_size
 
 
 @dataclass(frozen=True)
@@ -174,8 +171,7 @@ def _dependency_down_masks(lat: Lattice) -> list[int]:
 def count_congruences(lat: Lattice) -> int:
     """|Con(L)| as the number of down-sets of the dependency preorder on the
     join-irreducibles."""
-    if lat.n > COUNT_LIMIT:
-        raise SizeLimit(f"congruence count bounded at n <= {COUNT_LIMIT}, got {lat.n}")
+    check_size("congruence count", lat.n, COUNT_LIMIT)
     down = _dependency_down_masks(lat)
     up = [0] * len(down)
     for q, row in enumerate(down):
@@ -201,8 +197,7 @@ def _set_partitions(n: int) -> Iterator[list[int]]:
 
 def count_congruences_naive(lat: Lattice) -> int:
     """Independent oracle: test every partition for the substitution property."""
-    if lat.n > NAIVE_LIMIT:
-        raise SizeLimit(f"naive congruence scan bounded at n <= {NAIVE_LIMIT}")
+    check_size("naive congruence scan", lat.n, NAIVE_LIMIT)
     total = 0
     for cls in _set_partitions(lat.n):
         if is_congruence(lat, _blocks_from_classes(lat.n, cls)):

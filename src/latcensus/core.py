@@ -6,8 +6,9 @@ index n-1 the top.  The order relation is stored as one bitmask row per
 element (bit j of ``leq[i]`` set iff i <= j), so order queries, upper-bound
 intersections and subset tests are single integer operations.
 
-The element count is capped at 63 so that subuniverse counts (at most 2^n)
-stay inside an unsigned 64-bit range.
+Every size limit of the package is defined here, in one table, and every
+refusal goes through ``check_size``.  The element count is capped at 63 so
+that subuniverse counts (at most 2^n) stay inside an unsigned 64-bit range.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Union
 
-MAX_ELEMENTS = 63
+# Size limits: the largest n each operation accepts.
+MAX_ELEMENTS = 63  # any lattice: 2^n subuniverses fit an unsigned 64-bit range
+GEN_LIMIT = 9  # census generation and every verdict over it: n = 10 takes seconds
+CANON_LIMIT = 12  # canonical form: tries every labeling inside each height class
+ENUM_LIMIT = 20  # enumeration, trace count, naive scan: up to 2^n subsets each
+COUNT_LIMIT = 20  # congruence count: memoized down-sets of up to n - 1 join-irreducibles
+NAIVE_LIMIT = 8  # naive congruence oracle: Bell(8) = 4140 partitions
 
 
 class LatticeError(Exception):
@@ -38,6 +45,13 @@ class BadIndexOrder(LatticeError):
 
 class SizeLimit(LatticeError):
     """Input exceeds a documented size bound."""
+
+
+def check_size(what: str, n: int, limit: int) -> None:
+    """Refuse a size above ``limit`` with ``SizeLimit``; ``what`` names the
+    operation in the message."""
+    if n > limit:
+        raise SizeLimit(f"{what} bounded at n <= {limit}, got {n}")
 
 
 class SizeTooSmall(LatticeError, ValueError):
@@ -217,8 +231,7 @@ def from_covers(n: int, covers: Iterable[tuple[int, int]]) -> Lattice:
     """
     if n < 1:
         raise NotALattice("a lattice has at least one element")
-    if n > MAX_ELEMENTS:
-        raise SizeLimit(f"at most {MAX_ELEMENTS} elements supported, got {n}")
+    check_size("lattice", n, MAX_ELEMENTS)
     adj: list[list[int]] = [[] for _ in range(n)]
     for pair in covers:
         i, j = pair
@@ -243,8 +256,7 @@ def from_order_matrix(n: int, rows: Iterable[int]) -> Lattice:
     """
     if n < 1:
         raise NotALattice("a lattice has at least one element")
-    if n > MAX_ELEMENTS:
-        raise SizeLimit(f"at most {MAX_ELEMENTS} elements supported, got {n}")
+    check_size("lattice", n, MAX_ELEMENTS)
     up = list(rows)
     if len(up) != n:
         raise NotAPoset(f"expected {n} rows, got {len(up)}")
@@ -302,8 +314,6 @@ def direct_product(left: Lattice, right: Lattice) -> Lattice:
     the product order.
     """
     n = left.n * right.n
-    if n > MAX_ELEMENTS:
-        raise SizeLimit(f"product would have {n} > {MAX_ELEMENTS} elements")
     w = right.n
     pairs = []
     for i in range(left.n):

@@ -3,7 +3,8 @@
 The extremal subuniverse counts at size n are 2^n for chains, 26*2^(n-5) for
 a B4 block glued between two chains, and 23*2^(n-5) for an N5 block glued
 between two chains; ``classify`` detects those shapes and attaches the
-predicted count.
+predicted count.  ``isolated_characterization_holds`` enumerates every
+subuniverse, so ``enumerate_subuniverses`` bounds it at ``ENUM_LIMIT``.
 """
 
 from __future__ import annotations
@@ -14,15 +15,13 @@ from itertools import combinations
 from typing import Optional
 
 from . import canon
-from .core import Lattice, SizeLimit, glued_cuts, mask_of, named, sublattice
+from .core import Lattice, glued_cuts, mask_of, named, sublattice
 from .subuniverse import enumerate_subuniverses
 
 CHAIN = "Chain"
 GLUED_B4 = "GluedB4"
 GLUED_N5 = "GluedN5"
 OTHER = "Other"
-
-ENUM_LIMIT = 14  # characterization check enumerates all subuniverses
 
 
 def is_chain(lat: Lattice) -> bool:
@@ -85,10 +84,6 @@ def isolated_characterization_holds(lat: Lattice, u: int) -> bool:
     This property characterizes the isolated elements, which the census
     tests confirm exhaustively.
     """
-    if lat.n > ENUM_LIMIT:
-        raise SizeLimit(
-            f"characterization check bounded at n <= {ENUM_LIMIT}, got {lat.n}"
-        )
     lat._check(u)
     masks = {s.mask for s in enumerate_subuniverses(lat)}
     bit = 1 << u

@@ -18,16 +18,15 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .core import (
+    ENUM_LIMIT,
     EmptyGenerator,
     IndexOutOfRange,
     Lattice,
-    SizeLimit,
     bit_indices,
+    check_size,
     glued_cuts,
     mask_of,
 )
-
-ENUM_LIMIT = 20  # full-enumeration operations refuse larger inputs
 
 
 @dataclass(frozen=True)
@@ -173,8 +172,7 @@ def count_subuniverses(lat: Lattice) -> int:
 def count_subuniverses_naive(lat: Lattice) -> int:
     """Independent oracle: scan all 2^n subsets and test closure directly."""
     n = lat.n
-    if n > ENUM_LIMIT:
-        raise SizeLimit(f"naive scan bounded at n <= {ENUM_LIMIT}, got {n}")
+    check_size("naive scan", n, ENUM_LIMIT)
     total = 0
     for mask in range(1 << n):
         if is_subuniverse(lat, mask):
@@ -193,8 +191,7 @@ def enumerate_subuniverses(lat: Lattice) -> Iterator[Subuniverse]:
     masks are bucketed by size and each bucket read backwards; no sort key
     is computed.
     """
-    if lat.n > ENUM_LIMIT:
-        raise SizeLimit(f"enumeration bounded at n <= {ENUM_LIMIT}, got {lat.n}")
+    check_size("enumeration", lat.n, ENUM_LIMIT)
     buckets: list[list[int]] = [[] for _ in range(lat.n + 1)]
     _scan(lat, 0, lat.n - 1, lambda mask: buckets[mask.bit_count()].append(mask))
     for bucket in buckets:
@@ -209,8 +206,7 @@ def trace_count(lat: Lattice, subset: Union[int, Iterable[int], Subuniverse]) ->
     since each trace has at most 2^(n-|H|) preimages.  Only the distinct
     traces are held, never the subuniverses themselves.
     """
-    if lat.n > ENUM_LIMIT:
-        raise SizeLimit(f"trace count bounded at n <= {ENUM_LIMIT}, got {lat.n}")
+    check_size("trace count", lat.n, ENUM_LIMIT)
     h = _as_mask(lat, subset)
     traces: set[int] = set()
     _scan(lat, 0, lat.n - 1, lambda mask: traces.add(mask & h))

@@ -7,7 +7,8 @@ the gaps between those values, the 20*2^(n-5) bound for lattices with a
 3-antichain, and the largest congruence counts.  ``CHECKS`` maps the CLI's
 ``--theorem`` names to the check functions; ``run_checks`` runs one of them,
 or all of them on one census per size.  The count spectra, which carry the
-verdicts as a summary, live here too.
+verdicts as a summary, live here too.  Every check and both spectra run at
+every size from 5 (1 for the spectra) up to the census limit ``GEN_LIMIT``.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .census import GEN_LIMIT, CensusRecord, census_records
+from .census import CensusRecord, census_records
 from .congruence import with_con_counts
-from .core import SizeLimit, SizeTooSmall
+from .core import GEN_LIMIT, SizeTooSmall, check_size
 from .structure import CHAIN, GLUED_B4, GLUED_N5
 
-SPECTRUM_LIMIT = 8
 TOP_SHAPES = (CHAIN, GLUED_B4, GLUED_N5)  # witnesses of the top three values
 
 
@@ -102,8 +102,6 @@ def _group_by_value(pairs: list[tuple[int, str]]) -> tuple:
 
 def spectrum(n: int) -> SpectrumReport:
     """All subuniverse-count values over n-element lattices, with witnesses."""
-    if n > SPECTRUM_LIMIT:
-        raise SizeLimit(f"spectrum bounded at n <= {SPECTRUM_LIMIT}, got {n}")
     records = census_records(n)
     values, witnesses = _group_by_value(
         [(rec.sub_count, rec.canon) for rec in records]
@@ -135,20 +133,16 @@ def con_spectrum(n: int) -> SpectrumReport:
     return SpectrumReport(n, "con", values, witnesses, verdicts)
 
 
-def _check_size(n: int, limit: int) -> None:
+def _check_size(n: int) -> None:
     if n < 5:
         raise SizeTooSmall(f"extremal-count checks are stated for n >= 5, got {n}")
-    if n > limit:
-        raise SizeLimit(f"verification bounded at n <= {limit}, got {n}")
+    check_size("verification", n, GEN_LIMIT)
 
 
 def _checked_records(
-    n: int,
-    records: Optional[list[CensusRecord]],
-    limit: int = SPECTRUM_LIMIT,
-    with_con: bool = False,
+    n: int, records: Optional[list[CensusRecord]], with_con: bool = False
 ) -> list[CensusRecord]:
-    _check_size(n, limit)
+    _check_size(n)
     return census_records(n, with_con=with_con) if records is None else records
 
 
@@ -281,7 +275,7 @@ def verify_congruence_spectrum(
     top values there are 16, 8, 5, 2).  The top three witness sets must be
     exactly the chain / glued-B4 / glued-N5 classes.
     """
-    records = _checked_records(n, records, GEN_LIMIT, with_con=True)
+    records = _checked_records(n, records, with_con=True)
     if any(rec.con_count is None for rec in records):  # records passed in
         records = with_con_counts(records)
 
@@ -327,27 +321,20 @@ CHECKS: dict[str, Callable[..., Verdict]] = {
     "lemma4": verify_antichain_bound,
     "remark1": verify_congruence_spectrum,
 }
-CHECK_LIMITS = {  # largest size each check verifies
-    "main": SPECTRUM_LIMIT,
-    "corollary": SPECTRUM_LIMIT,
-    "lemma4": SPECTRUM_LIMIT,
-    "remark1": GEN_LIMIT,
-}
 
 
 def run_checks(theorem: str, sizes: Iterable[int]) -> list[Verdict]:
     """Run the check named ``theorem`` at every size, or with ``"all"`` every
     check in ``CHECKS`` order on one census per size.
 
-    Every size is checked against the limit of every selected check before
-    any census is built, so an out-of-range request fails at once.
+    Every size is checked before any census is built, so an out-of-range
+    request fails at once.
     """
     sizes = list(sizes)
     if not sizes:
         raise SizeTooSmall("no size to verify; the checks are stated for n >= 5")
-    limit = min(CHECK_LIMITS.values()) if theorem == "all" else CHECK_LIMITS[theorem]
     for n in sizes:
-        _check_size(n, limit)
+        _check_size(n)
     if theorem != "all":
         return [CHECKS[theorem](n) for n in sizes]
     verdicts = []

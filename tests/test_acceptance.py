@@ -72,19 +72,20 @@ def test_criterion_02_chain_law():
 
 
 def test_criterion_03_top_three_classification(census):
-    for n in range(5, 9):
+    for n in range(5, 10):
         report = verify_top_three(n, records=census(n))
         assert report.passed, (n, report.failures)
         q = 1 << (n - 5)
         assert report.details["observed"] == {"first": 32 * q, "second": 26 * q, "third": 23 * q}
-    announce(3, "top three values and witness shapes exact for n=5..8")
+    assert report.details["observed"] == {"first": 512, "second": 416, "third": 368}
+    announce(3, "top three values and witness shapes exact for n=5..9")
 
 
 def test_criterion_04_gap(census):
-    for n in range(5, 9):
+    for n in range(5, 10):
         report = verify_gap(n, records=census(n))
         assert report.passed, (n, report.failures)
-    announce(4, "no count value inside (23q,26q) or (26q,32q) for n=5..8")
+    announce(4, "no count value inside (23q,26q) or (26q,32q) for n=5..9")
 
 
 def test_criterion_05_seven_element_comparisons(census):
@@ -101,12 +102,13 @@ def test_criterion_05_seven_element_comparisons(census):
 
 def test_criterion_06_antichain_bound(census):
     m3_hex = canonical_form(named("M3")).hex()
-    for n in range(5, 9):
+    for n in range(5, 10):
         report = verify_antichain_bound(n, records=census(n))
         assert report.passed, (n, report.failures)
         assert report.details["max_count"] == 20 << (n - 5), n  # the bound is attained
         if n == 5:
             assert report.details["max_witnesses"] == (m3_hex,)
+    assert report.details["max_count"] == 320
     announce(6, "3-antichain implies count <= 20*2^(n-5); max ratio exactly 20")
 
 
@@ -202,11 +204,11 @@ def test_criterion_09_oracle_equivalence(census):
 
 
 def test_criterion_10_congruence_spectra(census):
-    for n in (6, 7, 8):
+    for n in (6, 7, 8, 9):
         report = verify_congruence_spectrum(n)
         assert report.passed, (n, report.failures)
         assert report.details["values_ok"] and report.details["witnesses_ok"]
-    announce(10, "five largest congruence counts and top-three shapes for n=6..8")
+    announce(10, "five largest congruence counts and top-three shapes for n=6..9")
 
 
 def test_criterion_11_census_determinism(tmp_path, capsys):

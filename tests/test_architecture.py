@@ -20,3 +20,31 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                 if alias.name.startswith("_")
             ]
     assert offenders == []
+
+
+def _size_limit_raises(node):
+    return [
+        sub for sub in ast.walk(node)
+        if isinstance(sub, ast.Raise) and sub.exc is not None
+        and "SizeLimit" in {n.id for n in ast.walk(sub.exc) if isinstance(n, ast.Name)}
+    ]
+
+
+def test_size_limits_live_in_one_table_with_one_refusal():
+    """Only core.py assigns a module-level ``*_LIMIT`` name, and the only
+    ``raise SizeLimit`` in the package is the one in ``core.check_size``."""
+    limits, raises = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                limits += [
+                    f"{path.name}: {t.id}" for t in targets
+                    if isinstance(t, ast.Name) and t.id.endswith("_LIMIT")
+                ]
+            raises += [
+                f"{path.name}: {getattr(node, 'name', '<module>')}"
+                for _ in _size_limit_raises(node)
+            ]
+    assert limits and all(entry.startswith("core.py: ") for entry in limits), limits
+    assert raises == ["core.py: check_size"]

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -90,6 +91,40 @@ def test_census_builds_one_lattice_per_class(monkeypatch):
     assert all(rec.con_count is not None for rec in records)
 
 
+@pytest.mark.parametrize("n,jobs,cpus,workers", [
+    (7, 10**6, 64, 4),  # 53 classes make 4 chunks
+    (7, 10**6, 3, 3),
+    (7, 2, 64, 2),
+    (8, 10**6, 2, 2),
+    (6, 10**6, 64, None),  # 15 classes, one chunk: analyzed in process
+    (7, 10**6, 1, None),
+])
+def test_census_jobs_capped_by_cpus_and_chunks(monkeypatch, n, jobs, cpus, workers):
+    """No more workers than CPUs or chunks of classes, whatever ``jobs`` asks
+    for; a fake pool records the worker count and maps in process, so no
+    process is started."""
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(census_mod, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    records = census_records(n, jobs=jobs)
+    assert pools == ([] if workers is None else [workers])
+    assert records == census_records(n)
+
+
 def test_canonical_lattice_refuses_pairs_that_are_not_covers():
     form = bytes([3, 0, 1, 0, 2, 1, 2])  # (0, 2) is implied by 0 < 1 < 2
     with pytest.raises(LatticeError, match="not covers"):
@@ -173,7 +208,7 @@ def test_spectrum_small_values():
     assert spectrum(4).values == (16, 13)
     assert spectrum(5).values == (32, 26, 23, 20)
     with pytest.raises(SizeLimit):
-        spectrum(9)
+        spectrum(10)
 
 
 def test_spectrum_witness_lists_partition_census(census):
@@ -224,7 +259,7 @@ def test_verify_size_bounds():
     with pytest.raises(ValueError):
         verify_top_three(4)
     with pytest.raises(SizeLimit):
-        verify_top_three(9)
+        verify_top_three(10)
 
 
 def test_census_jsonl_roundtrip_and_key_order(census):

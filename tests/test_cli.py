@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from latcensus import census as census_mod
+from latcensus import cli as cli_mod
 from latcensus import verify as verify_mod
 from latcensus.cli import ENUM_CHUNK, lattice_json, main, normalized_count
 from latcensus.core import build_expression, chain
@@ -296,6 +297,9 @@ def test_verify_all_runs_every_check_per_size(capsys):
     six = reports[4:8]
     for theorem, report in zip(("main", "corollary", "lemma4", "remark1"), six):
         assert run_json(capsys, "verify", "--theorem", theorem, "--size", "6") == report
+    nine = run_json(capsys, "verify", "--theorem", "all", "--max-n", "9")
+    assert nine["passed"] is True and len(nine["reports"]) == 20
+    assert nine["reports"][:16] == reports
 
 
 @pytest.mark.parametrize("argv", [
@@ -318,6 +322,8 @@ def test_verify_empty_range_is_refused(capsys, argv):
     ["census", "--size", "-1"],
     ["spectrum", "--size", "0"],
     ["spectrum", "--kind", "con", "--size", "0"],
+    ["spectrum", "--size", "10"],
+    ["spectrum", "--kind", "con", "--size", "10"],
 ])
 def test_out_of_range_sizes_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -326,9 +332,9 @@ def test_out_of_range_sizes_exit_two(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--theorem", "all", "--max-n", "9"],
-    ["verify", "--theorem", "main", "--max-n", "9"],
-    ["verify", "--theorem", "lemma4", "--size", "9"],
+    ["verify", "--theorem", "all", "--max-n", "10"],
+    ["verify", "--theorem", "main", "--max-n", "10"],
+    ["verify", "--theorem", "lemma4", "--size", "10"],
     ["verify", "--theorem", "remark1", "--max-n", "10"],
 ])
 def test_verify_refuses_out_of_limit_sizes_before_any_census(capsys, monkeypatch, argv):
@@ -340,6 +346,22 @@ def test_verify_refuses_out_of_limit_sizes_before_any_census(capsys, monkeypatch
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "verification bounded at n <=" in err
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["--help"], "list all subuniverses (n <= 17)"),
+    (["census", "--help"], "lattice size, 1..11"),
+    (["spectrum", "--help"], "lattice size, 1..11"),
+    (["verify", "--help"], "single census size to check, 5..11"),
+    (["verify", "--help"], "up to this, at most 11"),
+])
+def test_help_reads_the_size_limits(capsys, monkeypatch, argv, text):
+    monkeypatch.setattr(cli_mod, "ENUM_LIMIT", 17)
+    monkeypatch.setattr(cli_mod, "GEN_LIMIT", 11)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    assert text in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("n,digest", [

@@ -90,7 +90,7 @@ def test_characterization_examples():
     assert not isolated_characterization_holds(named("N5"), 1)
     assert not isolated_characterization_holds(named("M3"), 1)
     with pytest.raises(SizeLimit):
-        isolated_characterization_holds(chain(15), 0)
+        isolated_characterization_holds(chain(21), 0)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
