@@ -17,9 +17,9 @@ import sys
 from typing import Callable, Iterator, Optional, TextIO
 
 from . import census as census_mod
-from . import congruence as con_mod
 from . import structure
 from . import verify as verify_mod
+from .congruence import count_congruences
 from .core import (
     ENUM_LIMIT,
     GEN_LIMIT,
@@ -112,22 +112,12 @@ def _add_output_flags(parser: argparse.ArgumentParser, formats=("json", "table")
     parser.add_argument("--format", choices=formats, default=formats[0])
 
 
-def cmd_count(args) -> int:
+def cmd_count(args, count: Callable[[Lattice], int], key: str) -> int:
+    """``count`` and ``con-count``: the payload holds count(lattice) under key."""
     lat = _input_lattice(args)
-    count = count_subuniverses(lat)
-    payload = {"n": lat.n, "sub_count": count}
-    norm = normalized_count(count, lat.n)
-    if norm:
-        payload["normalized"] = norm
-    _emit_payload(payload, args)
-    return 0
-
-
-def cmd_con_count(args) -> int:
-    lat = _input_lattice(args)
-    count = con_mod.count_congruences(lat)
-    payload = {"n": lat.n, "con_count": count}
-    norm = normalized_count(count, lat.n)
+    value = count(lat)
+    payload = {"n": lat.n, key: value}
+    norm = normalized_count(value, lat.n)
     if norm:
         payload["normalized"] = norm
     _emit_payload(payload, args)
@@ -138,14 +128,23 @@ def cmd_con_count(args) -> int:
 def _member_text(sep: str) -> Callable[[int], str]:
     """mask -> its members in increasing order, each written as sep + decimal.
 
-    Each byte of the mask picks one of 256 precomputed strings; three bytes
-    cover ENUM_LIMIT.  The tables are built once per process and separator.
+    Each byte of the mask picks one of 256 precomputed strings from its own
+    table, and (ENUM_LIMIT + 7) // 8 tables cover ENUM_LIMIT.  The tables
+    are built once per process and separator.
     """
-    a, b, c = (
+    low, *high = (
         tuple("".join(f"{sep}{8 * k + i}" for i in range(8) if v >> i & 1) for v in range(256))
         for k in range((ENUM_LIMIT + 7) // 8)
     )
-    return lambda m: a[m & 255] + b[m >> 8 & 255] + c[m >> 16 & 255]
+
+    def text(m: int) -> str:
+        out = low[m & 255]
+        for table in high:
+            m >>= 8
+            out += table[m & 255]
+        return out
+
+    return text
 
 
 def _enumerate_layout(fmt: str, n: int, count: int) -> tuple[str, Callable[[int], str], str, str]:
@@ -285,12 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="number of subuniverses of one lattice")
     _add_input_flags(p)
     _add_output_flags(p)
-    p.set_defaults(fn=cmd_count)
+    p.set_defaults(fn=functools.partial(cmd_count, count=count_subuniverses, key="sub_count"))
 
     p = sub.add_parser("con-count", help="number of congruences of one lattice")
     _add_input_flags(p)
     _add_output_flags(p)
-    p.set_defaults(fn=cmd_con_count)
+    p.set_defaults(fn=functools.partial(cmd_count, count=count_congruences, key="con_count"))
 
     p = sub.add_parser("enumerate", help=f"list all subuniverses (n <= {ENUM_LIMIT})")
     _add_input_flags(p)

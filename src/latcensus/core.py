@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 # Size limits: the largest n each operation accepts.
 MAX_ELEMENTS = 63  # any lattice: 2^n subuniverses fit an unsigned 64-bit range
@@ -93,25 +93,18 @@ def mask_of(indices: Iterable[int]) -> int:
 class Lattice:
     """Immutable finite lattice on indices 0..n-1 in linear-extension order.
 
-    ``leq[i]`` is the bitmask of the up-set of i; ``join_table`` and
-    ``meet_table`` are n rows of n precomputed indices; ``covers`` is the
-    transitive reduction as a sorted tuple of (lower, upper) pairs.
+    ``leq[i]`` is the bitmask of the up-set of i and ``geq[i]`` that of its
+    down-set (the transpose); ``join_table`` and ``meet_table`` are n rows of
+    n precomputed indices; ``covers`` is the transitive reduction as a sorted
+    tuple of (lower, upper) pairs.
     """
 
     n: int
     leq: tuple[int, ...]
+    geq: tuple[int, ...]
     join_table: tuple[bytes, ...]
     meet_table: tuple[bytes, ...]
     covers: tuple[tuple[int, int], ...]
-
-    @cached_property
-    def geq(self) -> tuple[int, ...]:
-        """Down-set bitmask rows (transpose of ``leq``)."""
-        down = [0] * self.n
-        for i, row in enumerate(self.leq):
-            for j in bit_indices(row):
-                down[j] |= 1 << i
-        return tuple(down)
 
     @cached_property
     def full_mask(self) -> int:
@@ -218,7 +211,7 @@ def _finish(n: int, up: list[int]) -> Lattice:
                 covers.append((a, b))
     covers.sort()
 
-    return Lattice(n, tuple(up), tuple(join_rows), tuple(meet_rows), tuple(covers))
+    return Lattice(n, tuple(up), tuple(down), tuple(join_rows), tuple(meet_rows), tuple(covers))
 
 
 def from_covers(n: int, covers: Iterable[tuple[int, int]]) -> Lattice:
@@ -334,6 +327,31 @@ def dual(lat: Lattice) -> Lattice:
     return from_covers(n, pairs)
 
 
+def member_mask(lat: Lattice, members: Union[int, Iterable[int]]) -> int:
+    """Bitmask of a subset given as a bitmask or an iterable of indices.
+
+    Raises IndexOutOfRange if the subset mentions an index outside the
+    lattice.
+    """
+    mask = members if isinstance(members, int) else mask_of(members)
+    if mask < 0 or mask & ~lat.full_mask:
+        raise IndexOutOfRange("subset mentions indices outside the lattice")
+    return mask
+
+
+def unclosed_pair(lat: Lattice, mask: int) -> Optional[tuple[int, int]]:
+    """First pair a < b of members whose join or meet falls outside the
+    subset, or None when the subset is closed under join and meet."""
+    elems = list(bit_indices(mask))
+    for i, a in enumerate(elems):
+        jrow = lat.join_table[a]
+        mrow = lat.meet_table[a]
+        for b in elems[i + 1 :]:
+            if not (mask >> jrow[b] & 1 and mask >> mrow[b] & 1):
+                return a, b
+    return None
+
+
 def sublattice(lat: Lattice, members: Union[int, Iterable[int]]) -> Lattice:
     """Induced lattice on a join/meet-closed subset of elements.
 
@@ -342,23 +360,14 @@ def sublattice(lat: Lattice, members: Union[int, Iterable[int]]) -> Lattice:
     the subset is not closed under the ambient join and meet, so the induced
     tables are guaranteed to be restrictions of the ambient ones.
     """
-    mask = members if isinstance(members, int) else mask_of(members)
-    if mask & ~lat.full_mask or mask < 0:
-        raise IndexOutOfRange("subset mentions indices outside the lattice")
-    elems = list(bit_indices(mask))
-    if not elems:
+    mask = member_mask(lat, members)
+    if not mask:
         raise NotALattice("the empty subset induces no lattice")
+    pair = unclosed_pair(lat, mask)
+    if pair is not None:
+        raise NotALattice(f"subset is not closed under join/meet at {pair}")
+    elems = list(bit_indices(mask))
     pos = {e: k for k, e in enumerate(elems)}
-    for a in elems:
-        jrow = lat.join_table[a]
-        mrow = lat.meet_table[a]
-        for b in elems:
-            if b < a:
-                continue
-            if not (mask >> jrow[b] & 1 and mask >> mrow[b] & 1):
-                raise NotALattice(
-                    f"subset is not closed under join/meet at ({a}, {b})"
-                )
     k = len(elems)
     up = [0] * k
     for a in elems:
@@ -374,7 +383,9 @@ def chain(k: int) -> Lattice:
     """The k-element chain."""
     if k < 1:
         raise UnknownName(f"chain size must be >= 1, got {k}")
-    return from_covers(k, [(i, i + 1) for i in range(k - 1)])
+    # the pairs are generated lazily, so from_covers refuses an oversize k
+    # before any of them is built
+    return from_covers(k, ((i, i + 1) for i in range(k - 1)))
 
 
 def _boolean_cube() -> Lattice:
@@ -412,7 +423,11 @@ def named(name: str) -> Lattice:
         return _FIXED_BUILDERS[key]()
     m = _CHAIN_RE.match(key)
     if m:
-        k = int(m.group(1))
+        digits = m.group(1)
+        try:
+            k = int(digits)
+        except ValueError:  # more digits than int() converts
+            raise UnknownName(f"chain size has {len(digits)} digits, too many to read") from None
         if k >= 1:
             return chain(k)
     raise UnknownName(f"no lattice named {name!r}")

@@ -3,19 +3,18 @@
 The extremal subuniverse counts at size n are 2^n for chains, 26*2^(n-5) for
 a B4 block glued between two chains, and 23*2^(n-5) for an N5 block glued
 between two chains; ``classify`` detects those shapes and attaches the
-predicted count.  ``isolated_characterization_holds`` enumerates every
+predicted count, reading the shape off the glued blocks' element and
+cover counts.  ``isolated_characterization_holds`` enumerates every
 subuniverse, so ``enumerate_subuniverses`` bounds it at ``ENUM_LIMIT``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
-from . import canon
-from .core import Lattice, glued_cuts, mask_of, named, sublattice
+from .core import Lattice, glued_cuts, mask_of, sublattice
 from .subuniverse import enumerate_subuniverses
 
 CHAIN = "Chain"
@@ -132,29 +131,28 @@ class Classification:
     core: Optional[Lattice] = None
 
 
-@lru_cache(maxsize=None)
-def _named_form(name: str) -> bytes:
-    return canon.canonical_form(named(name))
-
-
 def classify(lat: Lattice) -> Classification:
-    """Match the lattice against the three extremal-count shapes."""
+    """Match the lattice against the three extremal-count shapes.
+
+    A glued block has no cut strictly inside it, so the only such block on
+    4 elements is B4, and the only ones on 5 elements are N5 (5 covers) and
+    M3 (6 covers).  The shape is therefore read off the single block with
+    more than 2 elements: its element and cover counts.
+    """
     n = lat.n
     cuts = glued_cuts(lat)
     if len(cuts) == n:
         return Classification(CHAIN, 1 << n)
     big = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
-    # only a 4- or 5-element core can be B4 or N5
-    if len(big) == 1 and big[0][1] - big[0][0] + 1 in (4, 5):
-        lo, hi = big[0]
-        core = sublattice(lat, mask_of(range(lo, hi + 1)))
-        form = canon.canonical_form(core)
-        if form == _named_form("B4"):
-            return Classification(
-                GLUED_B4, 13 << (n - 4), prefix=lo, suffix=n - 1 - hi, core=core
-            )
-        if form == _named_form("N5"):
-            return Classification(
-                GLUED_N5, 23 << (n - 5), prefix=lo, suffix=n - 1 - hi, core=core
-            )
-    return Classification(OTHER, None)
+    if len(big) != 1:
+        return Classification(OTHER, None)
+    lo, hi = big[0]
+    shape = (hi - lo + 1, sum(lo <= a and b <= hi for a, b in lat.covers))
+    if shape == (4, 4):
+        tag, count = GLUED_B4, 13 << (n - 4)
+    elif shape == (5, 5):
+        tag, count = GLUED_N5, 23 << (n - 5)
+    else:
+        return Classification(OTHER, None)
+    core = sublattice(lat, mask_of(range(lo, hi + 1)))
+    return Classification(tag, count, prefix=lo, suffix=n - 1 - hi, core=core)

@@ -5,27 +5,30 @@ sublattices.  One pruned depth-first scan (``_scan``) visits the closed
 subsets of an index range in linear-extension order.  Counting splits the
 lattice at its cuts (elements comparable to everything) into glued blocks,
 tallies each block's closed subsets by whether they hold the block's bottom
-and top, and multiplies those 2x2 tables; a 2-element block needs no scan,
-which is what makes chains O(n) instead of O(2^n).  Enumeration runs the
-same scan over the whole lattice and needs no sort: the scan meets the
-subsets of each size in exactly the reverse of member-tuple order, so
-bucketing by size and reading each bucket backwards gives the output order.
+and top, and multiplies those 2x2 tables.  A scan costs time in proportion
+to its block's closed subsets, so a 2-element block (four of them) costs
+constant time and chains O(n) instead of O(2^n).  Closure of a given subset
+is tested by ``core.unclosed_pair``, the check ``sublattice`` uses too.
+Enumeration runs the same scan over the whole lattice and needs no sort:
+the scan meets the subsets of each size in exactly the reverse of
+member-tuple order, so bucketing by size and reading each bucket backwards
+gives the output order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .core import (
     ENUM_LIMIT,
     EmptyGenerator,
-    IndexOutOfRange,
     Lattice,
     bit_indices,
     check_size,
     glued_cuts,
-    mask_of,
+    member_mask,
+    unclosed_pair,
 )
 
 
@@ -49,36 +52,18 @@ class Subuniverse:
         return bit_indices(self.mask)
 
 
-def _as_mask(lat: Lattice, subset: Union[int, Iterable[int], Subuniverse]) -> int:
-    if isinstance(subset, Subuniverse):
-        mask = subset.mask
-    elif isinstance(subset, int):
-        mask = subset
-    else:
-        mask = mask_of(subset)
-    if mask < 0 or mask & ~lat.full_mask:
-        raise IndexOutOfRange("subset mentions indices outside the lattice")
-    return mask
+def is_subuniverse(lat: Lattice, subset: Union[int, Iterable[int]]) -> bool:
+    """True iff the subset is closed under join and meet (empty set included).
+
+    ``subset`` is a bitmask or an iterable of indices, a ``Subuniverse``
+    included.
+    """
+    return unclosed_pair(lat, member_mask(lat, subset)) is None
 
 
-def is_subuniverse(lat: Lattice, subset: Union[int, Iterable[int], Subuniverse]) -> bool:
-    """True iff the subset is closed under join and meet (empty set included)."""
-    mask = _as_mask(lat, subset)
-    elems = list(bit_indices(mask))
-    for i, a in enumerate(elems):
-        jrow = lat.join_table[a]
-        mrow = lat.meet_table[a]
-        for b in elems[i + 1 :]:
-            if not (mask >> jrow[b] & 1 and mask >> mrow[b] & 1):
-                return False
-    return True
-
-
-def generated_sublattice(
-    lat: Lattice, subset: Union[int, Iterable[int], Subuniverse]
-) -> Subuniverse:
+def generated_sublattice(lat: Lattice, subset: Union[int, Iterable[int]]) -> Subuniverse:
     """Smallest subuniverse containing the (nonempty) subset."""
-    mask = _as_mask(lat, subset)
+    mask = member_mask(lat, subset)
     if mask == 0:
         raise EmptyGenerator("generated sublattice needs at least one generator")
     while True:
@@ -134,14 +119,8 @@ def _scan(lat: Lattice, lo: int, hi: int, leaf: Callable[[int], object]) -> None
     rec(lo, 0, [], 0)
 
 
-# closed subsets of a 2-element block {lo, hi}: all four, one per end pattern
-_EDGE_TABLE = ((1, 1), (1, 1))
-
-
-def _end_table(lat: Lattice, lo: int, hi: int) -> Sequence[Sequence[int]]:
+def _end_table(lat: Lattice, lo: int, hi: int) -> list[list[int]]:
     """Closed subsets of the block lo..hi, tallied as table[lo in][hi in]."""
-    if hi == lo + 1:
-        return _EDGE_TABLE
     table = [[0, 0], [0, 0]]
 
     def tally(mask: int) -> None:
@@ -199,7 +178,7 @@ def enumerate_subuniverses(lat: Lattice) -> Iterator[Subuniverse]:
             yield Subuniverse(mask)
 
 
-def trace_count(lat: Lattice, subset: Union[int, Iterable[int], Subuniverse]) -> int:
+def trace_count(lat: Lattice, subset: Union[int, Iterable[int]]) -> int:
     """Number of distinct intersections of the subset with subuniverses.
 
     For any H this satisfies |Sub(L)| <= trace_count(L, H) * 2^(n - |H|),
@@ -207,7 +186,7 @@ def trace_count(lat: Lattice, subset: Union[int, Iterable[int], Subuniverse]) ->
     traces are held, never the subuniverses themselves.
     """
     check_size("trace count", lat.n, ENUM_LIMIT)
-    h = _as_mask(lat, subset)
+    h = member_mask(lat, subset)
     traces: set[int] = set()
     _scan(lat, 0, lat.n - 1, lambda mask: traces.add(mask & h))
     return len(traces)

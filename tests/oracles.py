@@ -21,6 +21,9 @@ from latcensus.core import (
     bit_indices,
     from_covers,
     from_order_matrix,
+    mask_of,
+    named,
+    sublattice,
 )
 from latcensus.subuniverse import _scan
 
@@ -72,6 +75,26 @@ def canonical_form_bruteforce(lat: Lattice) -> bytes:
             best = blob
     assert best is not None
     return best
+
+
+def classify_by_canonical_form(lat: Lattice) -> tuple:
+    """``structure.classify`` as first written, as (tag, predicted_count,
+    prefix, suffix, core): the cuts are the elements comparable to every
+    element, and a single block with more than 2 elements is matched against
+    B4 and N5 by canonical form, whatever its size."""
+    n = lat.n
+    cuts = [x for x in range(n) if all(lat.le(x, y) or lat.le(y, x) for y in range(n))]
+    if len(cuts) == n:
+        return "Chain", 1 << n, 0, 0, None
+    big = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
+    if len(big) == 1:
+        lo, hi = big[0]
+        core = sublattice(lat, mask_of(range(lo, hi + 1)))
+        form = canonical_form(core)
+        for tag, name, count in (("GluedB4", "B4", 13 << n >> 4), ("GluedN5", "N5", 23 << n >> 5)):
+            if form == canonical_form(named(name)):
+                return tag, count, lo, n - 1 - hi, core
+    return "Other", None, 0, 0, None
 
 
 def con_count_by_closures(lat: Lattice) -> int:

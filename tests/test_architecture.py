@@ -22,6 +22,20 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert offenders == []
 
 
+def test_structure_classifies_without_canonical_forms():
+    """``classify`` reads shapes off the glued blocks' element and cover
+    counts, so ``structure`` imports nothing from ``canon``."""
+    tree = ast.parse((PACKAGE / "structure.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported += [module] + [f"{module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert not [name for name in imported if "canon" in name.split(".")], imported
+
+
 def _size_limit_raises(node):
     return [
         sub for sub in ast.walk(node)

@@ -170,6 +170,22 @@ def test_enumerate_bytes_are_pinned(expr, fmt, digest):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize("limit", [8, 25])
+def test_enumerate_follows_any_enum_limit(monkeypatch, limit):
+    # the per-byte member tables are built from the limit, one per byte
+    monkeypatch.setattr(cli_mod, "ENUM_LIMIT", limit)
+    cli_mod._member_text.cache_clear()
+    try:
+        for expr in ("C2xC4", "M3+B4"):  # 8 elements each
+            lat = build_expression(expr)
+            for fmt in ENUM_FORMATS:
+                text = _enumerate_text(["--expr", expr, "--format", fmt])
+                _assert_same_text(text, enumerate_output(lat, fmt), f"{expr} {fmt}")
+        assert cli_mod._member_text(" ")(1 | 1 << (limit - 1)) == f" 0 {limit - 1}"
+    finally:
+        cli_mod._member_text.cache_clear()
+
+
 class _WriteLog:
     def __init__(self) -> None:
         self.writes: list[str] = []
@@ -393,10 +409,12 @@ def test_input_errors_exit_two(capsys, tmp_path):
         ["count", "--expr", "C8xC8"],
         ["count", "--file", str(tmp_path / "missing.json")],
         ["census", "--size", "11"],
+        ["count", "--expr", "C3000000"],
+        ["count", "--expr", "C" + "7" * 5000],  # more digits than int() converts
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
-        assert err.startswith("error:")
+        assert err.startswith("error:") and len(err.splitlines()) == 1, argv
     bad = tmp_path / "bad.json"
     bad.write_text('{"covers": []}')
     code, _, err = run(capsys, "count", "--file", str(bad))

@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from latcensus.core import (
     ExpressionError,
     GluedSum,
     IndexOutOfRange,
+    Lattice,
     NotALattice,
     NotAPoset,
     SizeLimit,
@@ -83,6 +86,36 @@ def test_from_covers_size_limits():
     with pytest.raises(NotALattice):
         from_covers(0, [])
     assert chain(63).n == 63
+
+
+def test_oversize_chain_is_refused_before_it_is_built():
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit):
+            chain(10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_overlong_chain_name_is_refused():
+    # more digits than int() converts; C<digits> is refused, not a ValueError
+    with pytest.raises(UnknownName, match="5000 digits"):
+        named("C" + "7" * 5000)
+
+
+def test_down_set_rows_are_a_positional_field():
+    assert [f.name for f in fields(Lattice)] == [
+        "n", "leq", "geq", "join_table", "meet_table", "covers"
+    ]
+
+
+@given(lattice_expressions(max_size=12))
+def test_down_set_rows_transpose_the_up_set_rows(expr):
+    lat = build_expression(expr)
+    for i, j in itertools.product(range(lat.n), repeat=2):
+        assert lat.geq[j] >> i & 1 == lat.leq[i] >> j & 1
 
 
 def test_from_covers_reduces_redundant_pairs():

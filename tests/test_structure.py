@@ -1,8 +1,10 @@
 import itertools
+import random
 from functools import reduce
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from latcensus.canon import canonical_form, is_isomorphic
 from latcensus.core import SizeLimit, build_expression, chain, glued_sum, named
@@ -23,7 +25,8 @@ from latcensus.structure import (
     meet_irreducibles,
 )
 from latcensus.subuniverse import count_subuniverses
-from strategies import lattice_expressions
+from oracles import classify_by_canonical_form, random_relabeling
+from strategies import glued_expressions, lattice_expressions
 
 
 def test_is_chain():
@@ -161,6 +164,35 @@ def test_classify_witness_decomposition():
     assert cls.core is not None and cls.core.n == 4
     chain_cls = classify(chain(6))
     assert (chain_cls.prefix, chain_cls.suffix) == (0, 0) and chain_cls.core is None
+
+
+def _assert_classify_matches_oracle(lat):
+    cls = classify(lat)
+    got = (cls.tag, cls.predicted_count, cls.prefix, cls.suffix, cls.core)
+    assert got == classify_by_canonical_form(lat), lat
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_classify_agrees_with_canonical_form_matcher_on_census(census, n):
+    for rec in census(n):
+        _assert_classify_matches_oracle(rec.lattice())
+
+
+@given(
+    expr=st.one_of(
+        st.builds(
+            "C{}+{}+C{}".format,
+            st.integers(1, 4),
+            st.sampled_from(["B4", "N5", "M3", "C2xC3", "B8", "N5+M3"]),
+            st.integers(1, 4),
+        ),
+        glued_expressions(max_size=16),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_classify_agrees_with_canonical_form_matcher_on_relabeled_sums(expr, seed):
+    lat = random_relabeling(build_expression(expr), random.Random(seed))
+    _assert_classify_matches_oracle(lat)
 
 
 def test_predicted_count_matches_actual_for_named_classes():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from latcensus.core import (
     EmptyGenerator,
+    IndexOutOfRange,
+    NotALattice,
     SizeLimit,
     bit_indices,
     build_expression,
@@ -105,6 +107,29 @@ def test_enumerate_is_a_generator_function():
 def test_b8_size_breakdown():
     counts = Counter(len(s) for s in enumerate_subuniverses(named("B8")))
     assert [counts.get(k, 0) for k in range(9)] == [1, 8, 19, 18, 15, 6, 6, 0, 1]
+
+
+@pytest.mark.parametrize("expr", ["B4", "N5", "M3", "B8", "C2xC3", "M3+B4"])
+def test_sublattice_and_is_subuniverse_accept_the_same_subsets(expr):
+    lat = build_expression(expr)
+    for mask in range(1, 1 << lat.n):
+        closed = set(bit_indices(mask)) == closure_bruteforce(lat, set(bit_indices(mask)))
+        assert is_subuniverse(lat, mask) == closed
+        if closed:
+            assert sublattice(lat, mask).n == mask.bit_count()
+        else:
+            with pytest.raises(NotALattice, match="not closed under join/meet"):
+                sublattice(lat, mask)
+
+
+def test_subset_arguments_share_one_validation():
+    b4 = named("B4")
+    for call in (is_subuniverse, generated_sublattice, trace_count, sublattice):
+        with pytest.raises(IndexOutOfRange):
+            call(b4, {0, 4})
+        with pytest.raises(IndexOutOfRange):
+            call(b4, 1 << 4)
+    assert is_subuniverse(b4, Subuniverse(0b1001)) and not is_subuniverse(b4, Subuniverse(0b0110))
 
 
 def test_subuniverse_container_protocol():
