@@ -13,12 +13,9 @@ from .congruence import (
     with_con_counts,
 )
 from .core import (
-    Atom,
     BadIndexOrder,
-    DirectProduct,
     EmptyGenerator,
     ExpressionError,
-    GluedSum,
     IndexOutOfRange,
     Lattice,
     LatticeError,
@@ -32,14 +29,12 @@ from .core import (
     chain,
     direct_product,
     dual,
-    evaluate,
     from_covers,
     from_order_matrix,
     glued_cuts,
     glued_sum,
     mask_of,
     named,
-    parse_expression,
     sublattice,
 )
 from .structure import (
@@ -61,7 +56,6 @@ from .structure import (
     meet_irreducibles,
 )
 from .subuniverse import (
-    Subuniverse,
     count_subuniverses,
     count_subuniverses_naive,
     enumerate_subuniverses,

@@ -171,7 +171,7 @@ def _enumerate_layout(fmt: str, n: int, count: int) -> tuple[str, Callable[[int]
 def cmd_enumerate(args) -> int:
     lat = _input_lattice(args)
     # drained before --out is opened, so that a refused size leaves it alone
-    masks = [sub.mask for sub in enumerate_subuniverses(lat)]
+    masks = list(enumerate_subuniverses(lat))
     head, render, sep, tail = _enumerate_layout(args.format, lat.n, len(masks))
     with _output(args.out) as fh:
         prefix = head

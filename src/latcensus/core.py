@@ -4,7 +4,9 @@ Elements are the indices 0..n-1 in a fixed linear extension: whenever i is
 below j in the order, i < j as integers.  Index 0 is therefore the bottom and
 index n-1 the top.  The order relation is stored as one bitmask row per
 element (bit j of ``leq[i]`` set iff i <= j), so order queries, upper-bound
-intersections and subset tests are single integer operations.
+intersections and subset tests are single integer operations.  Named
+lattices and expression strings are built here too: ``build_expression``
+parses a string straight into its lattice, with no tree in between.
 
 Every size limit of the package is defined here, in one table, and every
 refusal goes through ``check_size``.  The element count is capped at 63 so
@@ -151,16 +153,6 @@ class Lattice:
         self._check(a)
         self._check(b)
         return self.meet_table[a][b]
-
-    def up(self, a: int) -> int:
-        """Bitmask of the principal filter of a."""
-        self._check(a)
-        return self.leq[a]
-
-    def down(self, a: int) -> int:
-        """Bitmask of the principal ideal of a."""
-        self._check(a)
-        return self.geq[a]
 
     def __repr__(self) -> str:
         return f"Lattice(n={self.n}, covers={list(self.covers)})"
@@ -433,33 +425,13 @@ def named(name: str) -> Lattice:
     raise UnknownName(f"no lattice named {name!r}")
 
 
-# --- expression trees ---------------------------------------------------
+# --- expressions ---------------------------------------------------------
 #
 # Grammar (whitespace insensitive):
 #   expr   := term  ('+' term)*          glued sum, left associative
 #   term   := factor ('x' factor)*       direct product, binds tighter
 #   factor := atom | '(' expr ')'
 #   atom   := C<k> | B4 | B8 | N5 | M3
-
-
-@dataclass(frozen=True)
-class Atom:
-    name: str
-
-
-@dataclass(frozen=True)
-class GluedSum:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class DirectProduct:
-    left: "Expr"
-    right: "Expr"
-
-
-Expr = Union[Atom, GluedSum, DirectProduct]
 
 _TOKEN_RE = re.compile(r"\s*(C[0-9]+|B4|B8|N5|M3|[+x()])")
 
@@ -480,8 +452,16 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def parse_expression(text: str) -> Expr:
-    """Parse an expression string into an expression tree."""
+def build_expression(text: str) -> Lattice:
+    """Build the lattice an expression string denotes.
+
+    The recursive descent returns lattices, not a tree: an atom is looked
+    up when it is read, a term folds its products left to right, and a run
+    of '+' is glued by one from_covers.  So an error in building (an
+    unknown name, a size over the limit) can be raised before a syntax
+    error later in the text.  Parentheses nested too deeply for the
+    recursion raise ExpressionError.
+    """
     tokens = _tokenize(text)
     pos = 0
 
@@ -494,65 +474,39 @@ def parse_expression(text: str) -> Expr:
         pos += 1
         return tok
 
-    def factor() -> Expr:
+    def factor() -> Lattice:
         tok = peek()
         if tok is None:
             raise ExpressionError("expression ends where an atom was expected")
         if tok == "(":
             take()
-            node = expr()
+            lat = expr()
             if peek() != ")":
                 raise ExpressionError("missing closing parenthesis")
             take()
-            return node
+            return lat
         if tok in ("+", "x", ")"):
             raise ExpressionError(f"unexpected {tok!r}")
-        return Atom(take())
+        return named(take())
 
-    def term() -> Expr:
-        node = factor()
+    def term() -> Lattice:
+        lat = factor()
         while peek() == "x":
             take()
-            node = DirectProduct(node, factor())
-        return node
+            lat = direct_product(lat, factor())
+        return lat
 
-    def expr() -> Expr:
-        node = term()
+    def expr() -> Lattice:
+        parts = [term()]
         while peek() == "+":
             take()
-            node = GluedSum(node, term())
-        return node
+            parts.append(term())
+        return parts[0] if len(parts) == 1 else _glued_sum_all(parts)
 
-    tree = expr()
+    try:
+        lat = expr()
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply") from None
     if pos != len(tokens):
         raise ExpressionError(f"trailing input after expression: {tokens[pos:]}")
-    return tree
-
-
-def evaluate(tree: Expr) -> Lattice:
-    """Evaluate an expression tree into a lattice."""
-    if isinstance(tree, Atom):
-        return named(tree.name)
-    if isinstance(tree, GluedSum):
-        return _glued_sum_all([evaluate(t) for t in _summands(tree)])
-    if isinstance(tree, DirectProduct):
-        return direct_product(evaluate(tree.left), evaluate(tree.right))
-    raise TypeError(f"not an expression node: {tree!r}")
-
-
-def _summands(tree: Expr) -> list[Expr]:
-    """The non-sum terms of a run of nested glued sums, bottom to top."""
-    out: list[Expr] = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, GluedSum):
-            stack += [node.right, node.left]
-        else:
-            out.append(node)
-    return out
-
-
-def build_expression(text: str) -> Lattice:
-    """Parse and evaluate an expression string."""
-    return evaluate(parse_expression(text))
+    return lat

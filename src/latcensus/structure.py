@@ -84,7 +84,7 @@ def isolated_characterization_holds(lat: Lattice, u: int) -> bool:
     tests confirm exhaustively.
     """
     lat._check(u)
-    masks = {s.mask for s in enumerate_subuniverses(lat)}
+    masks = set(enumerate_subuniverses(lat))
     bit = 1 << u
     return all(m | bit in masks and m & ~bit in masks for m in masks)
 

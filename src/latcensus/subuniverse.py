@@ -1,8 +1,10 @@
 """Counting and enumerating subuniverses (join/meet-closed subsets) of a lattice.
 
 The empty set counts as a subuniverse; the nonempty ones are exactly the
-sublattices.  One pruned depth-first scan (``_scan``) visits the closed
-subsets of an index range in linear-extension order.  Counting splits the
+sublattices.  A subuniverse is a bitmask over element indices, in and out
+of every function here; ``core.bit_indices`` lists its members.  One
+pruned depth-first scan (``_scan``) visits the closed subsets of an index
+range in linear-extension order.  Counting splits the
 lattice at its cuts (elements comparable to everything) into glued blocks,
 tallies each block's closed subsets by whether they hold the block's bottom
 and top, and multiplies those 2x2 tables.  A scan costs time in proportion
@@ -17,7 +19,6 @@ gives the output order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Union
 
 from .core import (
@@ -32,37 +33,16 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class Subuniverse:
-    """A join/meet-closed subset, stored as a bitmask over element indices."""
-
-    mask: int
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(bit_indices(self.mask))
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __contains__(self, index: int) -> bool:
-        return bool(self.mask >> index & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        return bit_indices(self.mask)
-
-
 def is_subuniverse(lat: Lattice, subset: Union[int, Iterable[int]]) -> bool:
     """True iff the subset is closed under join and meet (empty set included).
 
-    ``subset`` is a bitmask or an iterable of indices, a ``Subuniverse``
-    included.
+    ``subset`` is a bitmask or an iterable of indices.
     """
     return unclosed_pair(lat, member_mask(lat, subset)) is None
 
 
-def generated_sublattice(lat: Lattice, subset: Union[int, Iterable[int]]) -> Subuniverse:
-    """Smallest subuniverse containing the (nonempty) subset."""
+def generated_sublattice(lat: Lattice, subset: Union[int, Iterable[int]]) -> int:
+    """Mask of the smallest subuniverse containing the (nonempty) subset."""
     mask = member_mask(lat, subset)
     if mask == 0:
         raise EmptyGenerator("generated sublattice needs at least one generator")
@@ -76,7 +56,7 @@ def generated_sublattice(lat: Lattice, subset: Union[int, Iterable[int]]) -> Sub
                 new |= 1 << jrow[b]
                 new |= 1 << mrow[b]
         if new == mask:
-            return Subuniverse(mask)
+            return mask
         mask = new
 
 
@@ -159,8 +139,8 @@ def count_subuniverses_naive(lat: Lattice) -> int:
     return total
 
 
-def enumerate_subuniverses(lat: Lattice) -> Iterator[Subuniverse]:
-    """Yield every subuniverse once, ordered by size then member tuple.
+def enumerate_subuniverses(lat: Lattice) -> Iterator[int]:
+    """Yield every subuniverse's mask once, ordered by size then member tuple.
 
     ``_scan`` decides indices in increasing order, excluding each one
     before including it.  Two subsets of equal size first differ at the
@@ -174,8 +154,7 @@ def enumerate_subuniverses(lat: Lattice) -> Iterator[Subuniverse]:
     buckets: list[list[int]] = [[] for _ in range(lat.n + 1)]
     _scan(lat, 0, lat.n - 1, lambda mask: buckets[mask.bit_count()].append(mask))
     for bucket in buckets:
-        for mask in reversed(bucket):
-            yield Subuniverse(mask)
+        yield from reversed(bucket)
 
 
 def trace_count(lat: Lattice, subset: Union[int, Iterable[int]]) -> int:

@@ -32,8 +32,12 @@ def glued_expressions(draw, max_size: int = 16) -> str:
 
 
 @st.composite
-def lattice_expressions(draw, max_size: int = 12) -> str:
-    """Expression strings whose lattices have at most max_size elements."""
+def sized_lattice_expressions(draw, max_size: int = 12) -> tuple[str, int]:
+    """(expression, element count) pairs with at most max_size elements.
+
+    The count is computed while the string is drawn, from the atoms' sizes,
+    independently of the expression builder.
+    """
 
     def build(budget: int, depth: int) -> tuple[str, int]:
         choices = [a for a in ATOM_SIZES if a[1] <= budget]
@@ -49,4 +53,9 @@ def lattice_expressions(draw, max_size: int = 12) -> str:
             return left, ls
         return f"({left}x{right})", ls * rs
 
-    return build(max_size, 0)[0]
+    return build(max_size, 0)
+
+
+def lattice_expressions(max_size: int = 12):
+    """Expression strings whose lattices have at most max_size elements."""
+    return sized_lattice_expressions(max_size).map(lambda pair: pair[0])

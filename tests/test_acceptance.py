@@ -126,7 +126,7 @@ def test_criterion_07_trace_and_sublattice_bounds(census):
             for size in range(1, min(n, 3) + 1):
                 for gens in itertools.combinations(range(n), size):
                     samples_b += 1
-                    k_mask = generated_sublattice(lat, gens).mask
+                    k_mask = generated_sublattice(lat, gens)
                     if k_mask in seen:
                         continue
                     seen.add(k_mask)
@@ -167,8 +167,8 @@ def _check_equality_case_both_directions(census):
 
 def _embeds(lat, target):
     form = canonical_form(target)
-    for sub in enumerate_subuniverses(lat):
-        if len(sub) == target.n and canonical_form(sublattice(lat, sub.mask)) == form:
+    for mask in enumerate_subuniverses(lat):
+        if mask.bit_count() == target.n and canonical_form(sublattice(lat, mask)) == form:
             return True
     return False
 

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import latcensus
@@ -62,3 +63,41 @@ def test_size_limits_live_in_one_table_with_one_refusal():
             ]
     assert limits and all(entry.startswith("core.py: ") for entry in limits), limits
     assert raises == ["core.py: check_size"]
+
+
+LATBENCH = Path(__file__).resolve().parent.parent / "latbench"
+
+
+def _latcensus_chains(tree):
+    """Dotted ``latcensus.a.b`` chains in a module, each marked True when it
+    is called."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    chains = {}
+    for node in ast.walk(tree):
+        parts, inner = [], node
+        while isinstance(inner, ast.Attribute):
+            parts.append(inner.attr)
+            inner = inner.value
+        if parts and isinstance(inner, ast.Name) and inner.id == "latcensus":
+            chain = ".".join(reversed(parts))
+            chains[chain] = chains.get(chain, False) or id(node) in called
+    return chains
+
+
+def test_benchmark_hooks_resolve_in_the_package(monkeypatch):
+    """latbench traces layers by (module, attribute) and calls the package
+    by name; a name that no longer resolves would blind a metric or break a
+    run, so it fails here first."""
+    monkeypatch.syspath_prepend(str(LATBENCH))
+    tracer = importlib.import_module("tracer")
+    for span, (module, attr) in tracer.TARGETS.items():
+        assert callable(getattr(importlib.import_module(module), attr, None)), span
+    for script in ("selftest.py", "worker.py"):
+        chains = _latcensus_chains(ast.parse((LATBENCH / script).read_text(encoding="utf-8")))
+        assert chains, script
+        for chain, is_called in chains.items():
+            obj = latcensus
+            for attr in chain.split("."):
+                assert hasattr(obj, attr), f"{script}: latcensus.{chain}"
+                obj = getattr(obj, attr)
+            assert callable(obj) or not is_called, f"{script}: latcensus.{chain}"

@@ -411,6 +411,8 @@ def test_input_errors_exit_two(capsys, tmp_path):
         ["census", "--size", "11"],
         ["count", "--expr", "C3000000"],
         ["count", "--expr", "C" + "7" * 5000],  # more digits than int() converts
+        ["count", "--expr", "(" * 2000 + "C2" + ")" * 2000],  # too deep to recurse
+        ["count", "--expr", "x".join(["C2"] * 3000)],  # oversize long before the end
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
@@ -419,6 +421,13 @@ def test_input_errors_exit_two(capsys, tmp_path):
     bad.write_text('{"covers": []}')
     code, _, err = run(capsys, "count", "--file", str(bad))
     assert code == 2 and "expected an object" in err
+
+
+def test_long_flat_expressions_are_answered(capsys):
+    # products and glued sums fold in loops, so length alone never recurses
+    for expr, n in (("x".join(["C1"] * 3000), 1), ("+".join(["C2"] * 62), 63)):
+        payload = run_json(capsys, "count", "--expr", expr)
+        assert (payload["n"], payload["sub_count"]) == (n, 2**n)
 
 
 @pytest.mark.parametrize("data", [

@@ -7,11 +7,8 @@ from hypothesis import given
 
 from latcensus.canon import canonical_form, is_isomorphic
 from latcensus.core import (
-    Atom,
     BadIndexOrder,
-    DirectProduct,
     ExpressionError,
-    GluedSum,
     IndexOutOfRange,
     Lattice,
     NotALattice,
@@ -22,15 +19,13 @@ from latcensus.core import (
     chain,
     direct_product,
     dual,
-    evaluate,
     from_covers,
     from_order_matrix,
     glued_cuts,
     glued_sum,
     named,
-    parse_expression,
 )
-from strategies import lattice_expressions
+from strategies import lattice_expressions, sized_lattice_expressions
 
 
 @pytest.mark.parametrize(
@@ -257,32 +252,26 @@ def test_dual_examples():
 
 
 def test_parse_precedence_and_parens():
-    tree = parse_expression("C2+C2xC3")
-    assert isinstance(tree, GluedSum) and isinstance(tree.right, DirectProduct)
-    assert build_expression("C2+C2xC3").n == 7
-    assert build_expression("(C2+C2)xC3").n == 9
-    assert parse_expression(" N5 ") == Atom("N5")
+    c2, c3 = chain(2), chain(3)
+    assert build_expression("C2+C2xC3") == glued_sum(c2, direct_product(c2, c3))
+    assert build_expression("(C2+C2)xC3") == direct_product(glued_sum(c2, c2), c3)
+    assert build_expression("C2xC3xC2") == direct_product(direct_product(c2, c3), c2)
+    assert build_expression("(C2+C3)+C4") == build_expression("C2+(C3+C4)") == chain(7)
+    assert build_expression(" N5 ") == named("N5")
 
 
 def test_parse_errors():
     for text in ("", "C2+", "x C2", "(C2", "C2)C3", "C2 C3", "Q5"):
         with pytest.raises(ExpressionError):
-            parse_expression(text)
+            build_expression(text)
     with pytest.raises(UnknownName):
-        evaluate(parse_expression("C0"))
+        build_expression("C0")
 
 
-@given(lattice_expressions(max_size=12))
-def test_expression_sizes_match_tree(expr):
-    def size(node):
-        if isinstance(node, Atom):
-            return named(node.name).n
-        if isinstance(node, GluedSum):
-            return size(node.left) + size(node.right) - 1
-        return size(node.left) * size(node.right)
-
-    tree = parse_expression(expr)
-    assert build_expression(expr).n == size(tree)
+@given(sized_lattice_expressions(max_size=12))
+def test_expression_sizes_match_strategy(expr_and_size):
+    expr, size = expr_and_size
+    assert build_expression(expr).n == size
 
 
 @given(lattice_expressions(max_size=12))

@@ -247,8 +247,8 @@ def _contains_sublattice(lat, target):
     from latcensus.core import sublattice
 
     forms = canonical_form(target)
-    for sub in enumerate_subuniverses(lat):
-        if len(sub) == target.n:
-            if canonical_form(sublattice(lat, sub.mask)) == forms:
+    for mask in enumerate_subuniverses(lat):
+        if mask.bit_count() == target.n:
+            if canonical_form(sublattice(lat, mask)) == forms:
                 return True
     return False
