@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterator, NamedTuple, Optional
@@ -200,6 +199,9 @@ def census_records(n: int, jobs: int = 1, with_con: bool = False) -> list[Census
     workers = min(jobs, os.cpu_count() or 1, -(-len(items) // CHUNK))
     if workers <= 1:
         return list(map(analyze, items))
+    # imported only where a pool starts, so no other run loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(analyze, items, chunksize=CHUNK))
 

@@ -112,7 +112,7 @@ def _add_output_flags(parser: argparse.ArgumentParser, formats=("json", "table")
     parser.add_argument("--format", choices=formats, default=formats[0])
 
 
-def cmd_count(args, count: Callable[[Lattice], int], key: str) -> int:
+def _emit_count(args, key: str, count: Callable[[Lattice], int]) -> int:
     """``count`` and ``con-count``: the payload holds count(lattice) under key."""
     lat = _input_lattice(args)
     value = count(lat)
@@ -122,6 +122,16 @@ def cmd_count(args, count: Callable[[Lattice], int], key: str) -> int:
         payload["normalized"] = norm
     _emit_payload(payload, args)
     return 0
+
+
+# The counters are looked up on this module when a command runs, not bound
+# when the shared parser is built, so a name patched here later still runs.
+def cmd_count(args) -> int:
+    return _emit_count(args, "sub_count", count_subuniverses)
+
+
+def cmd_con_count(args) -> int:
+    return _emit_count(args, "con_count", count_congruences)
 
 
 @functools.lru_cache(maxsize=None)
@@ -274,6 +284,14 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, shared by every ``main`` call and rebuilt
+    only when a limit its help text prints changes.  Callers must not
+    mutate it."""
+    return _parser(ENUM_LIMIT, GEN_LIMIT)
+
+
+@functools.lru_cache(maxsize=1)
+def _parser(enum_limit: int, gen_limit: int) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latcensus",
         description="Count lattice subuniverses and verify extremal-count "
@@ -284,14 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="number of subuniverses of one lattice")
     _add_input_flags(p)
     _add_output_flags(p)
-    p.set_defaults(fn=functools.partial(cmd_count, count=count_subuniverses, key="sub_count"))
+    p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("con-count", help="number of congruences of one lattice")
     _add_input_flags(p)
     _add_output_flags(p)
-    p.set_defaults(fn=functools.partial(cmd_count, count=count_congruences, key="con_count"))
+    p.set_defaults(fn=cmd_con_count)
 
-    p = sub.add_parser("enumerate", help=f"list all subuniverses (n <= {ENUM_LIMIT})")
+    p = sub.add_parser("enumerate", help=f"list all subuniverses (n <= {enum_limit})")
     _add_input_flags(p)
     _add_output_flags(p, formats=("json", "jsonl", "table"))
     p.set_defaults(fn=cmd_enumerate)
@@ -312,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_info)
 
     p = sub.add_parser("census", help="all isomorphism classes of a given size")
-    p.add_argument("--size", type=int, required=True, help=f"lattice size, 1..{GEN_LIMIT}")
+    p.add_argument("--size", type=int, required=True, help=f"lattice size, 1..{gen_limit}")
     p.add_argument(
         "--jobs", type=int, default=1, help="parallel analysis workers, at most one per CPU"
     )
@@ -321,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_census)
 
     p = sub.add_parser("spectrum", help="distinct count values with witnesses")
-    p.add_argument("--size", type=int, required=True, help=f"lattice size, 1..{GEN_LIMIT}")
+    p.add_argument("--size", type=int, required=True, help=f"lattice size, 1..{gen_limit}")
     p.add_argument("--kind", choices=("sub", "con"), default="sub")
     _add_output_flags(p)
     p.set_defaults(fn=cmd_spectrum)
@@ -336,9 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
         "remark1: largest congruence counts and shapes; all: every check "
         "on one census per size",
     )
-    p.add_argument("--size", type=int, help=f"single census size to check, 5..{GEN_LIMIT}")
-    p.add_argument(
-        "--max-n", type=int, help=f"check every size from 5 up to this, at most {GEN_LIMIT}"
+    sizes = p.add_mutually_exclusive_group()  # neither: cmd_verify refuses
+    sizes.add_argument("--size", type=int, help=f"single census size to check, 5..{gen_limit}")
+    sizes.add_argument(
+        "--max-n", type=int, help=f"check every size from 5 up to this, at most {gen_limit}"
     )
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import random
 
@@ -118,7 +119,7 @@ def test_census_jobs_capped_by_cpus_and_chunks(monkeypatch, n, jobs, cpus, worke
         def map(self, fn, items, chunksize):
             return map(fn, items)
 
-    monkeypatch.setattr(census_mod, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     records = census_records(n, jobs=jobs)
     assert pools == ([] if workers is None else [workers])

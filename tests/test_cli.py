@@ -18,7 +18,7 @@ from latcensus import verify as verify_mod
 from latcensus.cli import ENUM_CHUNK, lattice_json, main, normalized_count
 from latcensus.core import build_expression, chain
 from oracles import diamond, enumerate_output, random_relabeling
-from strategies import lattice_expressions
+from strategies import closure_lattices, lattice_expressions
 
 
 def run(capsys, *argv):
@@ -148,6 +148,22 @@ def test_enumerate_bytes_match_oracle_on_relabeled_chain_products(tmp_path, expr
 def test_enumerate_bytes_match_oracle_on_random_lattices(tmp_path_factory, expr, seed):
     lat = random_relabeling(build_expression(expr), random.Random(seed))
     _assert_enumerate_matches_oracle(lat, tmp_path_factory.mktemp("enum") / "l.json")
+
+
+@given(lat=closure_lattices(max_n=20))
+def test_enumerate_bytes_match_oracle_on_closure_lattices(tmp_path_factory, lat):
+    _assert_enumerate_matches_oracle(lat, tmp_path_factory.mktemp("enum") / "l.json")
+
+
+@given(lat=closure_lattices(max_n=20))
+def test_classify_and_info_answer_closure_lattices(tmp_path_factory, lat):
+    path = tmp_path_factory.mktemp("closure") / "l.json"
+    path.write_text(json.dumps(lattice_json(lat)))
+    for command in ("classify", "info"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main([command, "--file", str(path)]) == 0, err.getvalue()
+        assert json.loads(out.getvalue())["n"] == lat.n
 
 
 # SHA-256 prefixes of the output as first released
@@ -402,6 +418,50 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(proc.stdout) == {"n": 5, "sub_count": 32, "normalized": "32*2^(5-5)"}
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = (
+        "import sys, latcensus.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_build_parser_is_shared_until_a_printed_limit_changes(monkeypatch):
+    parser = cli_mod.build_parser()
+    assert cli_mod.build_parser() is parser
+    monkeypatch.setattr(cli_mod, "ENUM_LIMIT", cli_mod.ENUM_LIMIT + 1)
+    enum_patched = cli_mod.build_parser()
+    assert enum_patched is not parser and cli_mod.build_parser() is enum_patched
+    monkeypatch.setattr(cli_mod, "GEN_LIMIT", cli_mod.GEN_LIMIT + 1)
+    assert cli_mod.build_parser() is not enum_patched
+
+
+@pytest.mark.parametrize("command,name,key", [
+    ("count", "count_subuniverses", "sub_count"),
+    ("con-count", "count_congruences", "con_count"),
+])
+def test_count_commands_call_the_counter_patched_after_the_parser(
+    capsys, monkeypatch, command, name, key
+):
+    run_json(capsys, command, "--expr", "C3")  # the shared parser exists from here on
+    seen = []
+
+    def stub(lat):
+        seen.append(lat.n)
+        return 7
+
+    monkeypatch.setattr(cli_mod, name, stub)
+    assert run_json(capsys, command, "--expr", "C3")[key] == 7
+    assert seen == [3]
+
+
 def test_input_errors_exit_two(capsys, tmp_path):
     for argv in (
         ["count", "--expr", "Q5"],
@@ -483,3 +543,15 @@ def test_exactly_one_input_source(capsys):
     with pytest.raises(SystemExit) as err:
         main(["count"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "main", "--size", "5", "--max-n", "6"],
+    ["verify", "--theorem", "all", "--max-n", "6", "--size", "5"],
+])
+def test_verify_size_and_max_n_together_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not allowed with argument" in captured.err

@@ -14,6 +14,7 @@ from latcensus.congruence import (
     with_con_counts,
 )
 from latcensus.core import (
+    NAIVE_LIMIT,
     IndexOutOfRange,
     SizeLimit,
     build_expression,
@@ -25,7 +26,7 @@ from latcensus.core import (
 from latcensus.structure import CHAIN, GLUED_B4, GLUED_N5
 from latcensus.verify import con_spectrum, verify_congruence_spectrum
 from oracles import con_count_by_closures, diamond
-from strategies import lattice_expressions
+from strategies import closure_lattices, lattice_expressions
 
 
 def test_principal_congruence_examples():
@@ -208,3 +209,9 @@ def test_with_con_counts_serialization(census):
     assert '"con_count":' in line and line.index('"sub_count"') < line.index(
         '"con_count"'
     ) < line.index('"class"')
+
+
+@given(closure_lattices(max_n=20))
+def test_count_matches_oracles_on_closure_lattices(lat):
+    oracle = count_congruences_naive if lat.n <= NAIVE_LIMIT else con_count_by_closures
+    assert count_congruences(lat) == oracle(lat)

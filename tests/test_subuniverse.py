@@ -1,7 +1,9 @@
 import inspect
 import itertools
+import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from latcensus.core import (
     build_expression,
     chain,
     dual,
+    from_covers,
     mask_of,
     named,
     sublattice,
@@ -29,7 +32,13 @@ from latcensus.subuniverse import (
     trace_count,
 )
 from oracles import closure_bruteforce, glued_count_bruteforce, random_relabeling
-from strategies import glued_expressions, lattice_expressions
+from strategies import (
+    closure_covers,
+    closure_lattices,
+    glued_expressions,
+    intersection_closed,
+    lattice_expressions,
+)
 
 FIXTURE_COUNTS = [
     ("B4", 13),
@@ -272,3 +281,29 @@ def test_optimized_counter_matches_naive(expr):
 def test_count_is_self_dual(expr):
     lat = build_expression(expr)
     assert count_subuniverses(lat) == count_subuniverses(dual(lat))
+
+
+@given(closure_lattices(max_n=14))
+def test_counter_matches_naive_on_closure_lattices(lat):
+    assert count_subuniverses(lat) == count_subuniverses_naive(lat)
+
+
+def corpus_covers(seed: int) -> tuple[int, list[tuple[int, int]]]:
+    """A closure lattice of 25 to 46 elements drawn from ``seed``: 64 random
+    subsets of a 7-set, closed under intersection up to a drawn size."""
+    rng = random.Random(seed)
+    size = rng.randint(25, 46)
+    masks = [rng.randrange(128) for _ in range(64)]
+    return closure_covers(intersection_closed(7, masks, size))
+
+
+CLOSURE_CORPUS = json.loads((Path(__file__).parent / "closure_corpus.json").read_text())
+
+
+@pytest.mark.parametrize("entry", CLOSURE_CORPUS, ids=lambda e: f"seed{e['seed']}-n{e['n']}")
+def test_closure_corpus_counts_are_reproduced(entry):
+    """Wide indecomposable lattices whose counts were recorded by the plain
+    block scan; a faster counter must reproduce them."""
+    n, covers = corpus_covers(entry["seed"])
+    assert (n, [list(c) for c in covers]) == (entry["n"], entry["covers"])
+    assert count_subuniverses(from_covers(n, covers)) == entry["sub_count"]
