@@ -406,6 +406,25 @@ def test_census_with_con_bytes_are_pinned(capsys, n, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of stdout for the verdict and spectrum runs, measured before the
+# verify layer was collapsed onto one census per size
+@pytest.mark.parametrize("argv,digest", [
+    ("verify --theorem all --max-n 9",
+     "6ca668306df96f8afa05b4016aa65ed816d0c137d49d855ad8676732ca21589a"),
+    ("spectrum --size 9", "c947643a20451a3680356fd6aeed6fb67e52f61b4ba37396bc652f16f11ea345"),
+    ("spectrum --size 9 --kind con",
+     "37d147732532dc9aad744d40f256137b387ba2a0889034b6b9dcd667dacad369"),
+    ("spectrum --size 8 --format table",
+     "2a0ccf7a885e19dcd5f571cf7d10cbcca85b1d0f39c1a6c0e74f6f02f0b2d704"),
+    ("spectrum --size 8 --kind con --format table",
+     "3abde7ae279eaaf382fd24a78757e6e54062e9c62490ae21fbcd9b09f71958b6"),
+])
+def test_verify_and_spectrum_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
