@@ -10,7 +10,6 @@ from .congruence import (
     is_congruence,
     join_irreducible_congruences,
     principal_congruence,
-    with_con_counts,
 )
 from .core import (
     BadIndexOrder,
@@ -66,8 +65,6 @@ from .subuniverse import (
 from .verify import (
     SpectrumReport,
     Verdict,
-    VerdictFailure,
-    con_spectrum,
     run_checks,
     spectrum,
     verify_antichain_bound,

@@ -247,10 +247,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    if args.kind == "con":
-        report = verify_mod.con_spectrum(args.size)
-    else:
-        report = verify_mod.spectrum(args.size)
+    report = verify_mod.spectrum(args.size, args.kind)
     if args.format == "table":
         rows = [f"{value}: {len(ws)} classes" for value, ws in report.witnesses]
         _emit("\n".join(rows) + "\n", args.out)

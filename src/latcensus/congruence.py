@@ -22,7 +22,7 @@ substitution closure; the tests use them as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .core import COUNT_LIMIT, NAIVE_LIMIT, Lattice, bit_indices, check_size
@@ -204,9 +204,3 @@ def count_congruences_naive(lat: Lattice) -> int:
             total += 1
     return total
 
-
-def with_con_counts(records: list) -> list:
-    """Copies of census records with their congruence-count field filled."""
-    return [
-        replace(rec, con_count=count_congruences(rec.lattice())) for rec in records
-    ]

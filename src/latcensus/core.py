@@ -259,21 +259,18 @@ def from_order_matrix(n: int, rows: Iterable[int]) -> Lattice:
     return _finish(n, up)
 
 
-def glued_sum(bottom_part: Lattice, top_part: Lattice) -> Lattice:
-    """Stack ``top_part`` atop ``bottom_part``, identifying the shared element.
+def glued_sum(first: Lattice, *rest: Lattice) -> Lattice:
+    """Stack the parts from bottom to top, built by one from_covers.
 
-    The top of the first argument is identified with the bottom of the
-    second, so the result has n = |K| + |L| - 1 elements.  Associative, not
-    commutative.
+    The top of each part is identified with the bottom of the next, so
+    glued_sum(K, L) has n = |K| + |L| - 1 elements, and glued_sum(K) is K.
+    Associative, not commutative.
     """
-    return _glued_sum_all([bottom_part, top_part])
-
-
-def _glued_sum_all(parts: list[Lattice]) -> Lattice:
-    """Glued sum of the parts from bottom to top, built by one from_covers."""
+    if not rest:
+        return first
     pairs: list[tuple[int, int]] = []
     shift = 0
-    for part in parts:
+    for part in (first, *rest):
         pairs += [(i + shift, j + shift) for i, j in part.covers]
         shift += part.n - 1
     return from_covers(shift + 1, pairs)
@@ -501,7 +498,7 @@ def build_expression(text: str) -> Lattice:
         while peek() == "+":
             take()
             parts.append(term())
-        return parts[0] if len(parts) == 1 else _glued_sum_all(parts)
+        return glued_sum(*parts)
 
     try:
         lat = expr()

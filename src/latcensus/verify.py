@@ -5,10 +5,13 @@ returns one ``Verdict``: the extremal-count classification (top three
 subuniverse counts 2^n, 26*2^(n-5), 23*2^(n-5) and their witness shapes),
 the gaps between those values, the 20*2^(n-5) bound for lattices with a
 3-antichain, and the largest congruence counts.  ``CHECKS`` maps the CLI's
-``--theorem`` names to the check functions; ``run_checks`` runs one of them,
-or all of them on one census per size.  The count spectra, which carry the
-verdicts as a summary, live here too.  Every check and both spectra run at
-every size from 5 (1 for the spectra) up to the census limit ``GEN_LIMIT``.
+``--theorem`` names to the check functions.  ``run_checks`` is the one path
+from sizes to verdicts: per size it builds one census, with congruence
+counts only when a selected check reads them, and runs every selected check
+on it.  ``spectrum(n, kind)`` groups one census's subuniverse or congruence
+counts by value and carries the matching verdicts as a summary.  Every check
+and the spectrum run at every size from 5 (1 for the spectrum) up to the
+census limit ``GEN_LIMIT``.
 """
 
 from __future__ import annotations
@@ -17,19 +20,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .census import CensusRecord, census_records
-from .congruence import with_con_counts
 from .core import GEN_LIMIT, SizeTooSmall, check_size
 from .structure import CHAIN, GLUED_B4, GLUED_N5
 
 TOP_SHAPES = (CHAIN, GLUED_B4, GLUED_N5)  # witnesses of the top three values
-
-
-class VerdictFailure(Exception):
-    """A verification assertion failed; carries a counterexample when known."""
-
-    def __init__(self, message: str, canon: Optional[str] = None):
-        super().__init__(message)
-        self.canon = canon
 
 
 @dataclass
@@ -61,11 +55,6 @@ class Verdict:
             "counterexamples": self.counterexamples,
         }
 
-    def raise_on_failure(self) -> None:
-        if not self.passed:
-            canon = self.counterexamples[0] if self.counterexamples else None
-            raise VerdictFailure("; ".join(self.failures), canon=canon)
-
 
 @dataclass
 class SpectrumReport:
@@ -89,48 +78,6 @@ class SpectrumReport:
         if self.top_verdicts is not None:
             d["top_verdicts"] = self.top_verdicts
         return d
-
-
-def _group_by_value(pairs: list[tuple[int, str]]) -> tuple:
-    by_value: dict[int, list[str]] = {}
-    for value, canon in pairs:
-        by_value.setdefault(value, []).append(canon)
-    values = tuple(sorted(by_value, reverse=True))
-    witnesses = tuple((v, tuple(sorted(by_value[v]))) for v in values)
-    return values, witnesses
-
-
-def spectrum(n: int) -> SpectrumReport:
-    """All subuniverse-count values over n-element lattices, with witnesses."""
-    records = census_records(n)
-    values, witnesses = _group_by_value(
-        [(rec.sub_count, rec.canon) for rec in records]
-    )
-    verdicts = None
-    if n >= 5:
-        details = verify_top_three(n, records=records).details
-        verdicts = {
-            "top_three_values": details["values_ok"],
-            "witness_shapes": details["witnesses_ok"],
-            "gap": details["gap_ok"],
-        }
-    return SpectrumReport(n, "sub", values, witnesses, verdicts)
-
-
-def con_spectrum(n: int) -> SpectrumReport:
-    """All congruence-count values over n-element lattices, with witnesses."""
-    records = census_records(n, with_con=True)
-    values, witnesses = _group_by_value(
-        [(rec.con_count, rec.canon) for rec in records]
-    )
-    verdicts = None
-    if n >= 5:
-        details = verify_congruence_spectrum(n, records=records).details
-        verdicts = {
-            "top_values": details["values_ok"],
-            "top_three_shapes": details["witnesses_ok"],
-        }
-    return SpectrumReport(n, "con", values, witnesses, verdicts)
 
 
 def _check_size(n: int) -> None:
@@ -276,8 +223,11 @@ def verify_congruence_spectrum(
     exactly the chain / glued-B4 / glued-N5 classes.
     """
     records = _checked_records(n, records, with_con=True)
-    if any(rec.con_count is None for rec in records):  # records passed in
-        records = with_con_counts(records)
+    if any(rec.con_count is None for rec in records):
+        raise ValueError(
+            "congruence checks need records with con_count; "
+            "build them with census_records(n, with_con=True)"
+        )
 
     # 16, 8, 5, 4, 3.5 in units of 2^(n-5); 3.5*2^(n-5) = 7*2^(n-6)
     scaled = [v << (n - 5) for v in (32, 16, 10, 8, 7)]
@@ -324,21 +274,53 @@ CHECKS: dict[str, Callable[..., Verdict]] = {
 
 
 def run_checks(theorem: str, sizes: Iterable[int]) -> list[Verdict]:
-    """Run the check named ``theorem`` at every size, or with ``"all"`` every
-    check in ``CHECKS`` order on one census per size.
+    """Run the check named ``theorem``, or with ``"all"`` every check in
+    ``CHECKS`` order, on one census per size.
 
-    Every size is checked before any census is built, so an out-of-range
-    request fails at once.
+    Congruences are counted only for ``"remark1"`` and ``"all"``.  Every
+    size is checked before any census is built, so an out-of-range request
+    fails at once.
     """
     sizes = list(sizes)
     if not sizes:
         raise SizeTooSmall("no size to verify; the checks are stated for n >= 5")
     for n in sizes:
         _check_size(n)
-    if theorem != "all":
-        return [CHECKS[theorem](n) for n in sizes]
+    checks = list(CHECKS.values()) if theorem == "all" else [CHECKS[theorem]]
     verdicts = []
     for n in sizes:
-        records = census_records(n, with_con=True)
-        verdicts.extend(check(n, records=records) for check in CHECKS.values())
+        records = census_records(n, with_con=theorem in ("remark1", "all"))
+        verdicts.extend(check(n, records=records) for check in checks)
     return verdicts
+
+
+# per spectrum kind: the check on its counts, and the report's verdict keys
+# mapped to the check's detail keys
+_SPECTRUM_VERDICTS = {
+    "sub": (verify_top_three, {
+        "top_three_values": "values_ok", "witness_shapes": "witnesses_ok", "gap": "gap_ok",
+    }),
+    "con": (verify_congruence_spectrum, {
+        "top_values": "values_ok", "top_three_shapes": "witnesses_ok",
+    }),
+}
+
+
+def spectrum(n: int, kind: str = "sub") -> SpectrumReport:
+    """All subuniverse (``kind="sub"``) or congruence (``kind="con"``) count
+    values over n-element lattices, with witnesses; from n = 5 on, also the
+    verdicts of the check on those counts."""
+    if kind not in _SPECTRUM_VERDICTS:
+        raise ValueError(f"spectrum kind must be 'sub' or 'con', got {kind!r}")
+    records = census_records(n, with_con=kind == "con")
+    by_value: dict[int, list[str]] = {}
+    for rec in records:
+        by_value.setdefault(getattr(rec, f"{kind}_count"), []).append(rec.canon)
+    values = tuple(sorted(by_value, reverse=True))
+    witnesses = tuple((v, tuple(sorted(by_value[v]))) for v in values)
+    verdicts = None
+    if n >= 5:
+        check, keys = _SPECTRUM_VERDICTS[kind]
+        details = check(n, records=records).details
+        verdicts = {key: details[detail] for key, detail in keys.items()}
+    return SpectrumReport(n, kind, values, witnesses, verdicts)

@@ -14,12 +14,13 @@ settings.load_profile("suite")
 
 @pytest.fixture(scope="session")
 def census():
-    """Memoized analyzed census per size (records sorted by canonical form)."""
-    cache: dict[int, list] = {}
+    """Memoized analyzed census per (size, with_con) (records sorted by
+    canonical form)."""
+    cache: dict[tuple[int, bool], list] = {}
 
-    def get(n: int):
-        if n not in cache:
-            cache[n] = census_records(n)
-        return cache[n]
+    def get(n: int, with_con: bool = False):
+        if (n, with_con) not in cache:
+            cache[n, with_con] = census_records(n, with_con=with_con)
+        return cache[n, with_con]
 
     return get

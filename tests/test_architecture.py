@@ -23,17 +23,23 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert offenders == []
 
 
-def test_structure_classifies_without_canonical_forms():
-    """``classify`` reads shapes off the glued blocks' element and cover
-    counts, so ``structure`` imports nothing from ``canon``."""
-    tree = ast.parse((PACKAGE / "structure.py").read_text(encoding="utf-8"))
+def _imported_names(module_file):
+    """Every module a package file imports, and each ``module.name`` it
+    imports from one."""
     imported = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse((PACKAGE / module_file).read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom):
             module = node.module or ""
             imported += [module] + [f"{module}.{alias.name}" for alias in node.names]
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
+    return imported
+
+
+def test_structure_classifies_without_canonical_forms():
+    """``classify`` reads shapes off the glued blocks' element and cover
+    counts, so ``structure`` imports nothing from ``canon``."""
+    imported = _imported_names("structure.py")
     assert not [name for name in imported if "canon" in name.split(".")], imported
 
 
@@ -101,3 +107,31 @@ def test_benchmark_hooks_resolve_in_the_package(monkeypatch):
                 assert hasattr(obj, attr), f"{script}: latcensus.{chain}"
                 obj = getattr(obj, attr)
             assert callable(obj) or not is_called, f"{script}: latcensus.{chain}"
+
+
+def test_congruence_counts_have_one_source():
+    """Only census.py builds a ``CensusRecord`` or ``replace``s one, so every
+    ``con_count`` comes from the census's own analysis; congruence.py imports
+    nothing from ``census`` or ``verify``."""
+    builders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute) and (
+                func.attr == "CensusRecord"
+                or isinstance(func.value, ast.Name) and func.value.id == "dataclasses"
+            ):
+                name = func.attr
+            else:
+                continue  # str.replace and other methods
+            if name in ("CensusRecord", "replace"):
+                builders.append(f"{path.name}: {name}")
+    assert builders and all(entry.startswith("census.py: ") for entry in builders), builders
+    imported = _imported_names("congruence.py")
+    assert not [
+        name for name in imported if {"census", "verify"} & set(name.split("."))
+    ], imported

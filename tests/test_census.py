@@ -27,8 +27,6 @@ from latcensus.core import (
 )
 from latcensus.structure import CHAIN
 from latcensus.verify import (
-    Verdict,
-    VerdictFailure,
     spectrum,
     verify_antichain_bound,
     verify_gap,
@@ -277,10 +275,3 @@ def test_census_jsonl_roundtrip_and_key_order(census):
 def test_census_records_classification_consistency(census):
     for rec in census(7):
         assert (rec.classification == CHAIN) == (rec.sub_count == 2**7)
-
-
-def test_verdict_failure_carries_counterexample():
-    report = Verdict("top-three", 5, failures=["boom"], counterexamples=["deadbeef"], details={})
-    with pytest.raises(VerdictFailure) as err:
-        report.raise_on_failure()
-    assert err.value.canon == "deadbeef"

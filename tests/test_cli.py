@@ -305,7 +305,7 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
         "top-three", 5, failures=["fabricated failure"], counterexamples=["00"],
         details={},
     )
-    monkeypatch.setitem(verify_mod.CHECKS, "main", lambda n: failing)
+    monkeypatch.setitem(verify_mod.CHECKS, "main", lambda n, records: failing)
     code, out, err = run(capsys, "verify", "--theorem", "main", "--size", "5")
     assert code == 1
     assert json.loads(out)["passed"] is False

@@ -11,7 +11,6 @@ from latcensus.congruence import (
     is_congruence,
     join_irreducible_congruences,
     principal_congruence,
-    with_con_counts,
 )
 from latcensus.core import (
     NAIVE_LIMIT,
@@ -24,7 +23,7 @@ from latcensus.core import (
     named,
 )
 from latcensus.structure import CHAIN, GLUED_B4, GLUED_N5
-from latcensus.verify import con_spectrum, verify_congruence_spectrum
+from latcensus.verify import spectrum, verify_congruence_spectrum
 from oracles import con_count_by_closures, diamond
 from strategies import closure_lattices, lattice_expressions
 
@@ -171,8 +170,8 @@ def test_congruence_count_is_self_dual(expr):
 
 
 def test_con_spectrum_observed_values():
-    assert con_spectrum(5).values == (16, 8, 5, 2)
-    report = con_spectrum(6)
+    assert spectrum(5, "con").values == (16, 8, 5, 2)
+    report = spectrum(6, "con")
     assert report.values[:5] == (32, 16, 10, 8, 7)
     assert report.top_verdicts == {"top_values": True, "top_three_shapes": True}
 
@@ -186,7 +185,7 @@ def test_verify_congruence_spectrum_small(census):
 
 
 def test_congruence_top_three_witness_shapes(census):
-    records = with_con_counts(census(6))
+    records = census(6, with_con=True)
     by_tag = {CHAIN: 32, GLUED_B4: 16, GLUED_N5: 10}
     for rec in records:
         if rec.classification in by_tag:
@@ -196,7 +195,7 @@ def test_congruence_top_three_witness_shapes(census):
 
 
 def test_fourth_largest_congruence_count_at_seven(census):
-    records = with_con_counts(census(7))
+    records = census(7, with_con=True)
     values = sorted({rec.con_count for rec in records}, reverse=True)
     assert values[3] == 16
     witness = canonical_form(build_expression("(C2xC3)+C2")).hex()
@@ -204,7 +203,7 @@ def test_fourth_largest_congruence_count_at_seven(census):
 
 
 def test_with_con_counts_serialization(census):
-    records = with_con_counts(census(4))
+    records = census(4, with_con=True)
     line = records[0].to_json_line()
     assert '"con_count":' in line and line.index('"sub_count"') < line.index(
         '"con_count"'

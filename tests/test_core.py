@@ -230,6 +230,10 @@ def test_glued_sum_associative_up_to_isomorphism():
     right = glued_sum(parts[0], glued_sum(*parts[1:]))
     assert left == right  # even label-for-label here
     assert canonical_form(left) == canonical_form(right)
+    assert glued_sum(*parts) == left
+    assert glued_sum(parts[0]) == parts[0]
+    with pytest.raises(TypeError):
+        glued_sum()  # no empty sum that would build the 1-element lattice
 
 
 def test_direct_product_examples():

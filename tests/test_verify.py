@@ -1,7 +1,15 @@
 from dataclasses import replace
 
-from latcensus.congruence import with_con_counts
-from latcensus.verify import verify_congruence_spectrum, verify_gap, verify_top_three
+import pytest
+
+from latcensus import verify as verify_mod
+from latcensus.verify import (
+    run_checks,
+    spectrum,
+    verify_congruence_spectrum,
+    verify_gap,
+    verify_top_three,
+)
 
 
 def test_gap_rule_is_shared_by_main_and_corollary(census):
@@ -17,7 +25,7 @@ def test_gap_rule_is_shared_by_main_and_corollary(census):
 
 
 def test_congruence_spectrum_at_five_skips_the_unattained_values(census):
-    report = verify_congruence_spectrum(5, records=census(5))
+    report = verify_congruence_spectrum(5, records=census(5, with_con=True))
     assert report.passed
     assert report.details["expected"] == [16, 8, 5, 4, 3.5]
     assert report.details["expected_present"] == [16, 8, 5]
@@ -25,7 +33,7 @@ def test_congruence_spectrum_at_five_skips_the_unattained_values(census):
 
 
 def test_congruence_spectrum_fails_on_a_missing_reference_value(census):
-    records = with_con_counts(census(6))
+    records = census(6, with_con=True)
     assert any(rec.con_count == 7 for rec in records)
     without_seven = [rec for rec in records if rec.con_count != 7]  # 7 = 3.5*2^(6-5)
     report = verify_congruence_spectrum(6, records=without_seven)
@@ -33,3 +41,42 @@ def test_congruence_spectrum_fails_on_a_missing_reference_value(census):
     assert report.details["values_ok"] is False
     assert any("[7]" in line for line in report.failures)
 
+
+
+def test_congruence_spectrum_refuses_records_without_congruence_counts(census):
+    with pytest.raises(ValueError, match=r"census_records\(n, with_con=True\)"):
+        verify_congruence_spectrum(5, records=census(5))
+
+
+def test_spectrum_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="bogus"):
+        spectrum(5, "bogus")
+
+
+def test_run_checks_builds_one_census_per_size(monkeypatch):
+    """Every selected check runs on the one census built for its size, and
+    congruences are counted only when a selected check reads them."""
+    built, seen = [], []
+    census_records = verify_mod.census_records
+
+    def recording(n, with_con=False):
+        records = census_records(n, with_con=with_con)
+        built.append((n, with_con, records))
+        return records
+
+    monkeypatch.setattr(verify_mod, "census_records", recording)
+    for name, check in list(verify_mod.CHECKS.items()):
+        def seeing(n, records=None, check=check):
+            seen.append((n, records))
+            return check(n, records=records)
+
+        monkeypatch.setitem(verify_mod.CHECKS, name, seeing)
+
+    for theorem, with_con, per_size in (("main", False, 1), ("all", True, len(verify_mod.CHECKS))):
+        built.clear()
+        seen.clear()
+        assert len(run_checks(theorem, [5, 6])) == 2 * per_size
+        assert [(n, c) for n, c, _ in built] == [(5, with_con), (6, with_con)]
+        expected = [(n, records) for n, _, records in built for _ in range(per_size)]
+        assert [n for n, _ in seen] == [n for n, _ in expected]
+        assert all(got is want for (_, got), (_, want) in zip(seen, expected))
