@@ -260,20 +260,45 @@ def from_order_matrix(n: int, rows: Iterable[int]) -> Lattice:
 
 
 def glued_sum(first: Lattice, *rest: Lattice) -> Lattice:
-    """Stack the parts from bottom to top, built by one from_covers.
+    """Stack the parts from bottom to top, built from the parts' own tables.
 
     The top of each part is identified with the bottom of the next, so
     glued_sum(K, L) has n = |K| + |L| - 1 elements, and glued_sum(K) is K.
-    Associative, not commutative.
+    Associative, not commutative.  A part shifted to start at index s keeps
+    its order and operations; everything below s lies under all of it and
+    everything past its top above, so each row is the part's row, shifted,
+    between a head and a tail.  No closure is computed.
     """
     if not rest:
         return first
-    pairs: list[tuple[int, int]] = []
-    shift = 0
-    for part in (first, *rest):
-        pairs += [(i + shift, j + shift) for i, j in part.covers]
-        shift += part.n - 1
-    return from_covers(shift + 1, pairs)
+    parts = (first, *rest)
+    n = sum(part.n for part in parts) - len(parts) + 1
+    check_size("lattice", n, MAX_ELEMENTS)
+    full = (1 << n) - 1
+    leq: list[int] = []
+    geq: list[int] = []
+    join_rows: list[bytes] = []
+    meet_rows: list[bytes] = []
+    covers: list[tuple[int, int]] = []
+    s = 0
+    for k, part in enumerate(parts):
+        end = s + part.n  # one past the part's top
+        above = full >> end << end
+        below = (1 << s) - 1
+        joins_above = bytes(range(end, n))  # x v y = y above the part
+        meets_below = bytes(range(s))  # x ^ y = y below it
+        # a part's indices are below 63, so index + s stays inside a byte
+        shift = bytes(range(s, 256)) + bytes(s)
+        # the bottom of every part after the first is the previous top
+        for x in range(0 if k == 0 else 1, part.n):
+            own = bytes([s + x])  # x v y = x below the part, x ^ y = x above it
+            leq.append(part.leq[x] << s | above)
+            geq.append(part.geq[x] << s | below)
+            join_rows.append(own * s + part.join_table[x].translate(shift) + joins_above)
+            meet_rows.append(meets_below + part.meet_table[x].translate(shift) + own * (n - end))
+        covers += [(i + s, j + s) for i, j in part.covers]
+        s = end - 1
+    return Lattice(n, tuple(leq), tuple(geq), tuple(join_rows), tuple(meet_rows), tuple(covers))
 
 
 def glued_cuts(lat: Lattice) -> tuple[int, ...]:
@@ -454,7 +479,7 @@ def build_expression(text: str) -> Lattice:
 
     The recursive descent returns lattices, not a tree: an atom is looked
     up when it is read, a term folds its products left to right, and a run
-    of '+' is glued by one from_covers.  So an error in building (an
+    of '+' is glued by one glued_sum.  So an error in building (an
     unknown name, a size over the limit) can be raised before a syntax
     error later in the text.  Parentheses nested too deeply for the
     recursion raise ExpressionError.

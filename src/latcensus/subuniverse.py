@@ -2,19 +2,27 @@
 
 The empty set counts as a subuniverse; the nonempty ones are exactly the
 sublattices.  A subuniverse is a bitmask over element indices, in and out
-of every function here; ``core.bit_indices`` lists its members.  One
-pruned depth-first scan (``_scan``) visits the closed subsets of an index
-range in linear-extension order.  Counting splits the
-lattice at its cuts (elements comparable to everything) into glued blocks,
-tallies each block's closed subsets by whether they hold the block's bottom
-and top, and multiplies those 2x2 tables.  A scan costs time in proportion
-to its block's closed subsets, so a 2-element block (four of them) costs
-constant time and chains O(n) instead of O(2^n).  Closure of a given subset
-is tested by ``core.unclosed_pair``, the check ``sublattice`` uses too.
-Enumeration runs the same scan over the whole lattice and needs no sort:
-the scan meets the subsets of each size in exactly the reverse of
-member-tuple order, so bucketing by size and reading each bucket backwards
-gives the output order.
+of every function here; ``core.bit_indices`` lists its members.
+
+Counting splits the lattice at its cuts (elements comparable to
+everything) into glued blocks, tallies each block's closed subsets by
+whether they hold the block's bottom and top, and multiplies those 2x2
+tables.  Each table comes from a level-by-level frontier pass
+(``_end_table``), as in frontier-based search for ZDDs (Kawahara, Inoue,
+Iwashita & Minato, IEICE Trans. Fundamentals E100-A, 2017): the elements
+are decided in index order and equal states merge, so a count costs time
+in proportion to the widths of the levels, not to the number of
+subuniverses.  M_61 takes milliseconds; a wide 46-element closure-system
+lattice under a second and 28 MB, and a wide 63-element one several
+seconds and 73 MB (Python 3.11, shared 2-core VM).  Closure of a given
+subset is tested by ``core.unclosed_pair``, the check ``sublattice`` uses
+too.
+
+Enumeration and the trace count visit each subuniverse, so they use a
+pruned depth-first scan (``_scan``) over the whole lattice in
+linear-extension order.  Enumeration needs no sort: the scan meets the
+subsets of each size in exactly the reverse of member-tuple order, so
+bucketing by size and reading each bucket backwards gives the output order.
 """
 
 from __future__ import annotations
@@ -60,23 +68,23 @@ def generated_sublattice(lat: Lattice, subset: Union[int, Iterable[int]]) -> int
         mask = new
 
 
-def _scan(lat: Lattice, lo: int, hi: int, leaf: Callable[[int], object]) -> None:
-    """Call ``leaf(mask)`` once for each closed subset of the indices lo..hi.
+def _scan(lat: Lattice, leaf: Callable[[int], object]) -> None:
+    """Call ``leaf(mask)`` once for each subuniverse of the lattice.
 
-    The range must be closed under join and meet: the whole lattice, or one
-    glued block between consecutive cuts.  Elements are decided in index
-    order, a linear extension, so the meet of a new element with a chosen
-    one lands on an index already decided (a missing meet prunes at once)
-    and the join lands on a later index (a forced inclusion).
+    Elements are decided in index order, a linear extension, so the meet
+    of a new element with a chosen one lands on an index already decided
+    (a missing meet prunes at once) and the join lands on a later index (a
+    forced inclusion).
     """
     join_table = lat.join_table
     meet_table = lat.meet_table
+    top = lat.n - 1
 
     def rec(e: int, chosen_mask: int, chosen: list[int], required: int) -> None:
         bit = 1 << e
-        if e == hi:
-            # the range's top: its meet with a chosen element is that
-            # element and its join is itself, so it may always be added
+        if e == top:
+            # its meet with a chosen element is that element and its join
+            # is itself, so the top may always be added
             if not required & bit:
                 leaf(chosen_mask)
             leaf(chosen_mask | bit)
@@ -96,17 +104,104 @@ def _scan(lat: Lattice, lo: int, hi: int, leaf: Callable[[int], object]) -> None
         rec(e + 1, chosen_mask | bit, chosen, new_required)
         chosen.pop()
 
-    rec(lo, 0, [], 0)
+    rec(0, 0, [], 0)
 
 
 def _end_table(lat: Lattice, lo: int, hi: int) -> list[list[int]]:
-    """Closed subsets of the block lo..hi, tallied as table[lo in][hi in]."""
+    """Closed subsets of the block lo..hi, tallied as table[lo in][hi in].
+
+    A forward pass decides the elements in index order and keeps one level
+    of states: after lo..e-1 are decided, the rest of the count depends on
+    the chosen set only through
+
+    - ``req``: the later elements forced in as joins of chosen ones;
+    - ``kept``: the chosen elements that are meets of two elements >= e
+      (only these can still be asked for: meet(e, f) <= e for f > e);
+    - ``rows``: for each undecided f < hi, "blocked" when some chosen c has
+      meet(f, c) outside the set, else the joins join(f, c) != f not
+      already in ``req``.  Row r (for f = e + r) is bits r*w .. r*w + w - 1
+      of one int: the joins by block position, and the top bit as the
+      blocked flag, alone in its row.
+
+    Each level maps a state to its counts with lo out and with lo in; equal
+    states merge, so the cost follows the number of distinct states per
+    level, not the number of closed subsets.  Only two levels are alive at
+    once, and the old one is drained as the new one fills.  The top hi
+    never blocks and joins to itself, so the last level gives the table.
+    """
+    join_table = lat.join_table
+    meet_table = lat.meet_table
+    size = hi - lo + 1
+    w = size + 1
+    cols = (1 << size) - 1
+    ones = 0  # bit 0 of every row after lo: a mask times it is copied to each
+    for r in range(hi - lo - 1):
+        ones |= 1 << r * w
+    # keep[e]: the elements below e that are meets of two elements >= e
+    keep = [0] * (hi + 1)
+    meets = 0
+    for e in range(hi - 1, lo, -1):
+        for m in meet_table[e][e + 1 : hi + 1]:
+            meets |= 1 << m
+        keep[e] = meets & ((1 << e) - 1)
+
+    # the two counts of a state share one int, lo out in the low 64 bits:
+    # neither exceeds 2^63, so adding packed counts never carries across
+    level = {(0, 0, 0): 1}
+    key = (0, 1 << lo & keep[lo + 1], 0)
+    level[key] = level.get(key, 0) + (1 << 64)
+
+    for e in range(lo + 1, hi):
+        bit = 1 << e
+        keep_next = keep[e + 1]
+        row_ones = ones >> (e - lo) * w  # the rows left after e
+        flags = row_ones << size
+        jrow = join_table[e]
+        mrow = meet_table[e]
+        # with e chosen, row f gains join(f, e), and is blocked unless
+        # meet(f, e) is chosen: the rows are grouped by that meet
+        joins = 0
+        by_meet: dict[int, int] = {}
+        for r, f in enumerate(range(e + 1, hi)):
+            if jrow[f] != f:
+                joins |= 1 << r * w + jrow[f] - lo
+            if mrow[f] != e:
+                m = 1 << mrow[f]
+                by_meet[m] = by_meet.get(m, 0) | 1 << r * w + size
+        meet_rows = list(by_meet.items())
+        nxt: dict[tuple[int, int, int], int] = {}
+        get = nxt.get
+        while level:
+            (req, kept, rows), counts = level.popitem()
+            rest = rows >> w
+            if not req & bit:  # e left out
+                key = (req, kept & keep_next, rest)
+                nxt[key] = get(key, 0) + counts
+            if rows >> size & 1:
+                continue  # e is blocked: it cannot be added
+            req = (req | (rows & cols) << lo) & ~bit
+            chosen = kept | bit
+            rest |= joins
+            for m, blocked in meet_rows:
+                if not chosen & m:
+                    rest |= blocked
+            # clear forced joins from every row and all but the flag from
+            # blocked rows, so that equal states have equal keys
+            rest &= ~((req >> lo) * row_ones | ((rest & flags) >> size) * cols)
+            key = (req, chosen & keep_next, rest)
+            nxt[key] = get(key, 0) + counts
+        level = nxt
+
+    low = (1 << 64) - 1
     table = [[0, 0], [0, 0]]
-
-    def tally(mask: int) -> None:
-        table[mask >> lo & 1][mask >> hi & 1] += 1
-
-    _scan(lat, lo, hi, tally)
+    top = 1 << hi
+    for (req, _, _), counts in level.items():
+        out, into = counts & low, counts >> 64
+        table[0][1] += out
+        table[1][1] += into
+        if not req & top:
+            table[0][0] += out
+            table[1][0] += into
     return table
 
 
@@ -152,7 +247,7 @@ def enumerate_subuniverses(lat: Lattice) -> Iterator[int]:
     """
     check_size("enumeration", lat.n, ENUM_LIMIT)
     buckets: list[list[int]] = [[] for _ in range(lat.n + 1)]
-    _scan(lat, 0, lat.n - 1, lambda mask: buckets[mask.bit_count()].append(mask))
+    _scan(lat, lambda mask: buckets[mask.bit_count()].append(mask))
     for bucket in buckets:
         yield from reversed(bucket)
 
@@ -167,5 +262,5 @@ def trace_count(lat: Lattice, subset: Union[int, Iterable[int]]) -> int:
     check_size("trace count", lat.n, ENUM_LIMIT)
     h = member_mask(lat, subset)
     traces: set[int] = set()
-    _scan(lat, 0, lat.n - 1, lambda mask: traces.add(mask & h))
+    _scan(lat, lambda mask: traces.add(mask & h))
     return len(traces)

@@ -135,3 +135,19 @@ def test_congruence_counts_have_one_source():
     assert not [
         name for name in imported if {"census", "verify"} & set(name.split("."))
     ], imported
+
+
+def test_only_enumeration_and_traces_visit_each_subuniverse():
+    """``subuniverse._scan`` calls a leaf once per subuniverse, so only the
+    functions whose output is that large may use it; counts go through the
+    frontier pass."""
+    users = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef) or func.name == "_scan":
+                continue
+            names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(func)}
+            if "_scan" in names:
+                users.add(f"{path.name}: {func.name}")
+    assert users == {"subuniverse.py: enumerate_subuniverses", "subuniverse.py: trace_count"}

@@ -73,6 +73,16 @@ def test_info_emit_json_roundtrip(capsys, tmp_path):
     assert via_file["sub_count"] == 76
 
 
+@pytest.mark.parametrize("k", [18, 40, 61])
+def test_count_file_on_wide_diamonds(capsys, tmp_path, k):
+    """M_k has 2^k + 3k + 3 subuniverses; counting them must not visit
+    each one (M_40 alone has about 10^12)."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(lattice_json(diamond(k))))
+    payload = run_json(capsys, "count", "--file", str(path))
+    assert (payload["n"], payload["sub_count"]) == (k + 2, 2**k + 3 * k + 3)
+
+
 def test_info_fields(capsys):
     payload = run_json(capsys, "info", "--expr", "B4+C2")
     assert payload["n"] == 5

@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from latcensus.canon import canonical_form, is_isomorphic
 from latcensus.core import (
@@ -25,6 +26,7 @@ from latcensus.core import (
     glued_sum,
     named,
 )
+from oracles import glued_sum_by_covers
 from strategies import lattice_expressions, sized_lattice_expressions
 
 
@@ -215,6 +217,29 @@ def test_long_glued_sum_is_built_flat():
     assert build_expression("(C2+N5)x C2+C3") == glued_sum(
         direct_product(glued_sum(chain(2), n5), chain(2)), chain(3)
     )
+
+
+@given(st.lists(lattice_expressions(max_size=10), min_size=1, max_size=6), st.booleans())
+def test_glued_sum_equals_the_closure_build(exprs, fill):
+    """Rows assembled from the parts' tables equal the lattice one
+    from_covers closes from the shifted covers; ``fill`` tops the sum up
+    with a chain to exactly the 63-element limit (the drawn parts have at
+    most 55 elements together)."""
+    parts = [build_expression(e) for e in exprs]
+    n = sum(p.n for p in parts) - len(parts) + 1
+    if fill:
+        parts.append(chain(64 - n))
+    glued = glued_sum(*parts)
+    assert glued == glued_sum_by_covers(parts)
+    assert glued.n == (63 if fill else n)
+
+
+def test_oversize_glued_sum_is_refused_with_the_lattice_limit():
+    big = chain(63)
+    with pytest.raises(SizeLimit, match=r"^lattice bounded at n <= 63, got 64$"):
+        glued_sum(big, chain(2))
+    with pytest.raises(SizeLimit, match=r"^lattice bounded at n <= 63, got 621$"):
+        glued_sum(*[big] * 10)
 
 
 def test_glued_cuts_examples():

@@ -17,8 +17,10 @@ from latcensus.core import (
     bit_indices,
     build_expression,
     chain,
+    direct_product,
     dual,
     from_covers,
+    glued_cuts,
     mask_of,
     named,
     sublattice,
@@ -31,7 +33,13 @@ from latcensus.subuniverse import (
     is_subuniverse,
     trace_count,
 )
-from oracles import closure_bruteforce, glued_count_bruteforce, random_relabeling
+from latcensus import subuniverse
+from oracles import (
+    closure_bruteforce,
+    end_table_bruteforce,
+    glued_count_bruteforce,
+    random_relabeling,
+)
 from strategies import (
     closure_covers,
     closure_lattices,
@@ -307,3 +315,46 @@ def test_closure_corpus_counts_are_reproduced(entry):
     n, covers = corpus_covers(entry["seed"])
     assert (n, [list(c) for c in covers]) == (entry["n"], entry["covers"])
     assert count_subuniverses(from_covers(n, covers)) == entry["sub_count"]
+
+
+def _blocks(lat):
+    cuts = glued_cuts(lat)
+    return list(zip(cuts, cuts[1:]))
+
+
+def test_end_tables_match_bruteforce_on_census(census):
+    """Every block table, not only their fold: errors in two tables that
+    cancel in the product would pass the count tests."""
+    for n in range(2, 10):
+        for rec in census(n):
+            lat = rec.lattice()
+            for lo, hi in _blocks(lat):
+                assert subuniverse._end_table(lat, lo, hi) == end_table_bruteforce(lat, lo, hi)
+
+
+@settings(max_examples=15)  # the oracle tries up to 2^16 subsets per block
+@given(closure_lattices(max_n=16))
+def test_end_tables_match_bruteforce_on_closure_lattices(lat):
+    for lo, hi in _blocks(lat):
+        assert subuniverse._end_table(lat, lo, hi) == end_table_bruteforce(lat, lo, hi)
+
+
+def test_count_runs_without_the_scan(census, monkeypatch):
+    """Counting never visits subuniverses one by one: it answers with the
+    per-subuniverse scan disabled."""
+    small = [(rec.lattice(), rec.sub_count) for n in range(1, 9) for rec in census(n)]
+    products = [
+        (lat, count_subuniverses_naive(lat))
+        for lat in (direct_product(chain(a), chain(b)) for a, b in ((2, 3), (3, 3), (2, 5), (3, 4)))
+    ]
+    b8 = direct_product(direct_product(chain(2), chain(2)), chain(2))
+    products.append((b8, 74))
+
+    def refuse(*args):
+        raise AssertionError("the subuniverse scan was called")
+
+    monkeypatch.setattr(subuniverse, "_scan", refuse)
+    for lat, expected in small + products:
+        assert count_subuniverses(lat) == expected
+    with pytest.raises(AssertionError, match="subuniverse scan"):
+        trace_count(chain(2), {0})
