@@ -4,19 +4,18 @@ The empty set counts as a subuniverse; the nonempty ones are exactly the
 sublattices.  A subuniverse is a bitmask over element indices, in and out
 of every function here; ``core.bit_indices`` lists its members.
 
-Counting splits the lattice at its cuts (elements comparable to
-everything) into glued blocks, tallies each block's closed subsets by
-whether they hold the block's bottom and top, and multiplies those 2x2
-tables.  Each table comes from a level-by-level frontier pass
-(``_end_table``), as in frontier-based search for ZDDs (Kawahara, Inoue,
-Iwashita & Minato, IEICE Trans. Fundamentals E100-A, 2017): the elements
-are decided in index order and equal states merge, so a count costs time
-in proportion to the widths of the levels, not to the number of
-subuniverses.  M_61 takes milliseconds; a wide 46-element closure-system
-lattice under a second and 28 MB, and a wide 63-element one several
-seconds and 73 MB (Python 3.11, shared 2-core VM).  Closure of a given
-subset is tested by ``core.unclosed_pair``, the check ``sublattice`` uses
-too.
+Counting is one level-by-level frontier pass over the whole lattice
+(``count_subuniverses``), as in frontier-based search for ZDDs (Kawahara,
+Inoue, Iwashita & Minato, IEICE Trans. Fundamentals E100-A, 2017): the
+elements are decided in index order and equal states merge, so a count
+costs time in proportion to the widths of the levels, not to the number of
+subuniverses.  Right after a cut (an element comparable to everything)
+nothing above it is pending, so a level holds at most 2 states there: a
+glued sum is counted block by block without splitting it or building any
+table.  M_61 takes milliseconds; a wide 46-element closure-system lattice
+about half a second and 27 MB, and a wide 63-element one several seconds
+and 69 MB (Python 3.11, shared 2-core VM).  Closure of a given subset is
+tested by ``core.unclosed_pair``, the check ``sublattice`` uses too.
 
 Enumeration and the trace count visit each subuniverse, so they use a
 pruned depth-first scan (``_scan``) over the whole lattice in
@@ -35,7 +34,6 @@ from .core import (
     Lattice,
     bit_indices,
     check_size,
-    glued_cuts,
     member_mask,
     unclosed_pair,
 )
@@ -107,79 +105,80 @@ def _scan(lat: Lattice, leaf: Callable[[int], object]) -> None:
     rec(0, 0, [], 0)
 
 
-def _end_table(lat: Lattice, lo: int, hi: int) -> list[list[int]]:
-    """Closed subsets of the block lo..hi, tallied as table[lo in][hi in].
+def count_subuniverses(lat: Lattice) -> int:
+    """Exact number of subuniverses, by one level-by-level frontier pass.
 
-    A forward pass decides the elements in index order and keeps one level
-    of states: after lo..e-1 are decided, the rest of the count depends on
-    the chosen set only through
+    The elements are decided in index order, a linear extension.  After
+    0..e-1 are decided, the rest of the count depends on the chosen set
+    only through
 
     - ``req``: the later elements forced in as joins of chosen ones;
     - ``kept``: the chosen elements that are meets of two elements >= e
       (only these can still be asked for: meet(e, f) <= e for f > e);
-    - ``rows``: for each undecided f < hi, "blocked" when some chosen c has
-      meet(f, c) outside the set, else the joins join(f, c) != f not
-      already in ``req``.  Row r (for f = e + r) is bits r*w .. r*w + w - 1
-      of one int: the joins by block position, and the top bit as the
-      blocked flag, alone in its row.
+    - ``rows``: for each undecided f below the top, "blocked" when some
+      chosen c has meet(f, c) outside the set, else the joins join(f, c)
+      != f not already in ``req``.  Row r (for f = e + r) is bits
+      r*w .. r*w + w - 1 of one int: the joins by index, and the top bit
+      as the blocked flag, alone in its row.
 
-    Each level maps a state to its counts with lo out and with lo in; equal
-    states merge, so the cost follows the number of distinct states per
-    level, not the number of closed subsets.  Only two levels are alive at
-    once, and the old one is drained as the new one fills.  The top hi
-    never blocks and joins to itself, so the last level gives the table.
+    Each level maps a state to its count; equal states merge, so the cost
+    follows the number of distinct states per level, not the number of
+    subuniverses.  Only two levels are alive at once, and the old one is
+    drained as the new one fills.  Right after a cut (an element comparable
+    to every other) nothing above it is pending, so a level holds at most
+    2 states there, and glued sums cost no more than their blocks.  The
+    top never blocks and joins to itself: a last-level state counts once
+    with the top in, and once more when ``req`` does not force the top.
+    Agrees with count_subuniverses_naive everywhere both run.
     """
-    join_table = lat.join_table
+    n = lat.n
     meet_table = lat.meet_table
-    size = hi - lo + 1
-    w = size + 1
-    cols = (1 << size) - 1
-    ones = 0  # bit 0 of every row after lo: a mask times it is copied to each
-    for r in range(hi - lo - 1):
+    top = n - 1
+    w = n + 1
+    cols = (1 << n) - 1
+    ones = 0  # bit 0 of every row after 0: a mask times it is copied to each
+    for r in range(n - 2):
         ones |= 1 << r * w
+    # later[e]: the elements after e that are not above e, the only ones
+    # with join(f, e) != f or meet(f, e) != e
+    later = [~(lat.leq[e] | (1 << e) - 1) & cols for e in range(n)]
     # keep[e]: the elements below e that are meets of two elements >= e
-    keep = [0] * (hi + 1)
+    keep = [0] * n
     meets = 0
-    for e in range(hi - 1, lo, -1):
-        for m in meet_table[e][e + 1 : hi + 1]:
-            meets |= 1 << m
+    for e in range(top - 1, 0, -1):
+        for f in bit_indices(later[e]):
+            meets |= 1 << meet_table[e][f]
         keep[e] = meets & ((1 << e) - 1)
 
-    # the two counts of a state share one int, lo out in the low 64 bits:
-    # neither exceeds 2^63, so adding packed counts never carries across
     level = {(0, 0, 0): 1}
-    key = (0, 1 << lo & keep[lo + 1], 0)
-    level[key] = level.get(key, 0) + (1 << 64)
-
-    for e in range(lo + 1, hi):
+    for e in range(top):
         bit = 1 << e
         keep_next = keep[e + 1]
-        row_ones = ones >> (e - lo) * w  # the rows left after e
-        flags = row_ones << size
-        jrow = join_table[e]
+        row_ones = ones >> e * w  # the rows left after e
+        flags = row_ones << n
+        jrow = lat.join_table[e]
         mrow = meet_table[e]
         # with e chosen, row f gains join(f, e), and is blocked unless
         # meet(f, e) is chosen: the rows are grouped by that meet
         joins = 0
         by_meet: dict[int, int] = {}
-        for r, f in enumerate(range(e + 1, hi)):
-            if jrow[f] != f:
-                joins |= 1 << r * w + jrow[f] - lo
-            if mrow[f] != e:
-                m = 1 << mrow[f]
-                by_meet[m] = by_meet.get(m, 0) | 1 << r * w + size
+        for f in bit_indices(later[e]):
+            r = (f - e - 1) * w
+            joins |= 1 << r + jrow[f]
+            m = 1 << mrow[f]
+            by_meet[m] = by_meet.get(m, 0) | 1 << r + n
         meet_rows = list(by_meet.items())
         nxt: dict[tuple[int, int, int], int] = {}
         get = nxt.get
         while level:
-            (req, kept, rows), counts = level.popitem()
+            (req, kept, rows), count = level.popitem()
             rest = rows >> w
             if not req & bit:  # e left out
                 key = (req, kept & keep_next, rest)
-                nxt[key] = get(key, 0) + counts
-            if rows >> size & 1:
+                nxt[key] = get(key, 0) + count
+            if rows >> n & 1:
                 continue  # e is blocked: it cannot be added
-            req = (req | (rows & cols) << lo) & ~bit
+            req = (req | (rows & cols)) & ~bit
             chosen = kept | bit
             rest |= joins
             for m, blocked in meet_rows:
@@ -187,40 +186,13 @@ def _end_table(lat: Lattice, lo: int, hi: int) -> list[list[int]]:
                     rest |= blocked
             # clear forced joins from every row and all but the flag from
             # blocked rows, so that equal states have equal keys
-            rest &= ~((req >> lo) * row_ones | ((rest & flags) >> size) * cols)
+            rest &= ~(req * row_ones | ((rest & flags) >> n) * cols)
             key = (req, chosen & keep_next, rest)
-            nxt[key] = get(key, 0) + counts
+            nxt[key] = get(key, 0) + count
         level = nxt
 
-    low = (1 << 64) - 1
-    table = [[0, 0], [0, 0]]
-    top = 1 << hi
-    for (req, _, _), counts in level.items():
-        out, into = counts & low, counts >> 64
-        table[0][1] += out
-        table[1][1] += into
-        if not req & top:
-            table[0][0] += out
-            table[1][0] += into
-    return table
-
-
-def count_subuniverses(lat: Lattice) -> int:
-    """Exact number of subuniverses, by a transfer matrix over glued blocks.
-
-    Every element of a block lies below every element of the blocks above
-    it, so a subset is closed exactly when its trace on each block is; the
-    blocks share only their end cuts.  A vector indexed by whether the
-    current cut is in the subset is folded through each block's 2x2 table
-    of closed subsets by end pattern.  Agrees with count_subuniverses_naive
-    everywhere both run.
-    """
-    cuts = glued_cuts(lat)
-    out, into = 1, 1  # the bottom may be out of or in the subset
-    for lo, hi in zip(cuts, cuts[1:]):
-        t = _end_table(lat, lo, hi)
-        out, into = out * t[0][0] + into * t[1][0], out * t[0][1] + into * t[1][1]
-    return out + into
+    topbit = 1 << top
+    return sum(count if req & topbit else 2 * count for (req, _, _), count in level.items())
 
 
 def count_subuniverses_naive(lat: Lattice) -> int:

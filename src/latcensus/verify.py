@@ -277,10 +277,13 @@ def run_checks(theorem: str, sizes: Iterable[int]) -> list[Verdict]:
     """Run the check named ``theorem``, or with ``"all"`` every check in
     ``CHECKS`` order, on one census per size.
 
-    Congruences are counted only for ``"remark1"`` and ``"all"``.  Every
-    size is checked before any census is built, so an out-of-range request
-    fails at once.
+    Congruences are counted only for ``"remark1"`` and ``"all"``.  The
+    name and every size are checked before any census is built, so an
+    unknown theorem (``ValueError``) or an out-of-range size fails at once.
     """
+    if theorem != "all" and theorem not in CHECKS:
+        names = ", ".join(repr(name) for name in [*CHECKS, "all"])
+        raise ValueError(f"theorem must be one of {names}, got {theorem!r}")
     sizes = list(sizes)
     if not sizes:
         raise SizeTooSmall("no size to verify; the checks are stated for n >= 5")

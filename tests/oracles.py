@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 
 from latcensus.canon import canonical_form
 from latcensus.congruence import _count_down_sets, join_irreducible_congruences
@@ -172,24 +172,6 @@ def glued_count_bruteforce(blocks: list[Lattice]) -> int:
                 table[mask & 1][mask >> (n - 1) & 1] += 1
         vec = [vec[0] * table[0][y] + vec[1] * table[1][y] for y in (0, 1)]
     return vec[0] + vec[1]
-
-
-def end_table_bruteforce(lat: Lattice, lo: int, hi: int) -> list[list[int]]:
-    """Closed subsets of the block lo..hi, tallied as table[lo in][hi in],
-    by testing every subset of the block (at most 16 elements) pair by
-    pair against the lattice's join and meet."""
-    size = hi - lo + 1
-    assert size <= 16, "a brute-force block table tries 2^size subsets"
-    table = [[0, 0], [0, 0]]
-    for bits in range(1 << size):
-        mask = bits << lo
-        members = [lo + i for i in range(size) if bits >> i & 1]
-        if all(
-            mask >> lat.join(a, b) & 1 and mask >> lat.meet(a, b) & 1
-            for a, b in combinations(members, 2)
-        ):
-            table[bits & 1][bits >> (size - 1) & 1] += 1
-    return table
 
 
 def glued_sum_by_covers(parts: list[Lattice]) -> Lattice:

@@ -20,7 +20,7 @@ from latcensus.core import (
     direct_product,
     dual,
     from_covers,
-    glued_cuts,
+    glued_sum,
     mask_of,
     named,
     sublattice,
@@ -36,7 +36,6 @@ from latcensus.subuniverse import (
 from latcensus import subuniverse
 from oracles import (
     closure_bruteforce,
-    end_table_bruteforce,
     glued_count_bruteforce,
     random_relabeling,
 )
@@ -317,26 +316,20 @@ def test_closure_corpus_counts_are_reproduced(entry):
     assert count_subuniverses(from_covers(n, covers)) == entry["sub_count"]
 
 
-def _blocks(lat):
-    cuts = glued_cuts(lat)
-    return list(zip(cuts, cuts[1:]))
-
-
-def test_end_tables_match_bruteforce_on_census(census):
-    """Every block table, not only their fold: errors in two tables that
-    cancel in the product would pass the count tests."""
-    for n in range(2, 10):
-        for rec in census(n):
-            lat = rec.lattice()
-            for lo, hi in _blocks(lat):
-                assert subuniverse._end_table(lat, lo, hi) == end_table_bruteforce(lat, lo, hi)
-
-
-@settings(max_examples=15)  # the oracle tries up to 2^16 subsets per block
-@given(closure_lattices(max_n=16))
-def test_end_tables_match_bruteforce_on_closure_lattices(lat):
-    for lo, hi in _blocks(lat):
-        assert subuniverse._end_table(lat, lo, hi) == end_table_bruteforce(lat, lo, hi)
+@settings(max_examples=40)  # the oracle tries 2^n subsets of each block
+@given(
+    st.lists(st.tuples(closure_lattices(max_n=12), st.integers(1, 3)), min_size=2, max_size=3),
+    st.randoms(use_true_random=False),
+)
+def test_counter_matches_blockwise_oracle_on_glued_closure_lattices(parts, rng):
+    """Wide drawn blocks with cuts between them: the pass must carry the
+    cut's state across, which glued sums of the fixed atoms test only
+    through a handful of block shapes."""
+    blocks = [parts[0][0]]
+    for block, k in parts[1:]:
+        blocks += [chain(k), block]
+    lat = random_relabeling(glued_sum(*blocks), rng)
+    assert count_subuniverses(lat) == glued_count_bruteforce(blocks)
 
 
 def test_count_runs_without_the_scan(census, monkeypatch):

@@ -53,6 +53,17 @@ def test_spectrum_refuses_an_unknown_kind():
         spectrum(5, "bogus")
 
 
+def test_run_checks_refuses_an_unknown_theorem_before_any_census(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a census was built")
+
+    monkeypatch.setattr(verify_mod, "census_records", refuse)
+    with pytest.raises(ValueError, match="nope") as info:
+        run_checks("nope", [5])
+    for name in [*verify_mod.CHECKS, "all"]:
+        assert repr(name) in str(info.value)
+
+
 def test_run_checks_builds_one_census_per_size(monkeypatch):
     """Every selected check runs on the one census built for its size, and
     congruences are counted only when a selected check reads them."""
