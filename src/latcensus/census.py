@@ -7,14 +7,19 @@ augmentation from the singleton lattice and rejecting duplicates by
 canonical form yields exactly one representative per isomorphism class:
 1, 1, 1, 2, 5, 15, 53, 222, 1078 classes for n = 1..9.
 
-A child stays a cover list (``Child``) until its canonical form is known
-(McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998): the
-augmentation appends exactly the new cover pairs, so no closure, validation
-or operation table is built for it.  One ``Lattice`` is built per class, from
-its canonical form, by the validating ``from_covers``, and
-``canonical_lattice`` checks that the rebuilt covers are the form's pairs.
-Every duplicate child has the same relabeled cover list as that lattice, so
-it is validated by isomorphism.
+Most duplicates are dropped before any canonical form is taken, following
+McKay's canonical construction path ("Isomorph-free exhaustive generation",
+J. Algorithms 1998): a child is kept only when its new element is a coatom
+of largest key (down-set size, number of lower covers), and only one
+down-set per orbit of the parent's twin swaps is tried.  For n <= 9 that is
+1502 canonical forms for 1378 classes, against 3557 without the two
+rejections.  A child stays a cover list (``Child``) until its canonical form
+is known: the augmentation appends exactly the new cover pairs, so no
+closure, validation or operation table is built for it.  One ``Lattice`` is
+built per class, from its canonical form, by the validating ``from_covers``,
+and ``canonical_lattice`` checks that the rebuilt covers are the form's
+pairs.  Every duplicate child has the same relabeled cover list as that
+lattice, so it is validated by isomorphism.
 
 Each class is analyzed into a ``CensusRecord`` (subuniverse count, shape,
 3-antichain, and on request the congruence count, taken on the lattice the
@@ -49,7 +54,8 @@ class Child(NamedTuple):
 
 
 def _augmentations(parent: Lattice) -> Iterator[Child]:
-    """All one-element extensions of a lattice (with duplicates).
+    """One-element extensions of a lattice, pruned to those that can be the
+    canonical deletion of their class; some classes still come twice.
 
     The new element lands just below a re-added top: strip the parent's top,
     pick a down-set D of the remainder that contains the bottom and has a
@@ -57,6 +63,15 @@ def _augmentations(parent: Lattice) -> Iterator[Child]:
     element above D, and close with a fresh top.  The covers of the child
     are the parent's covers inside the body, (d, new) for the maximal d of
     D, (y, top) for the body-maximal y outside D, and (new, top).
+
+    Two rejections drop children before any canonical form is taken.  The
+    new element is a coatom of the child, and deleting a coatom always
+    leaves a lattice, so every class has a child made by inserting its
+    coatom of largest key (down-set size, number of lower covers): a child
+    in which some other coatom has a strictly larger key is dropped.
+    Swapping two twins of the parent (same lower and same upper covers) is
+    an automorphism, so D is kept only when it meets each twin group in a
+    prefix of the group's index order.
     """
     m = parent.n
     if m == 1:
@@ -64,35 +79,50 @@ def _augmentations(parent: Lattice) -> Iterator[Child]:
         return
     body = m - 1  # indices 0..m-2 survive; new element m-1; new top m
     body_mask = (1 << body) - 1
+    leq = parent.leq
+    geq = parent.geq
+    lower = [0] * m  # lower and upper covers of each element, as masks
+    upper = [0] * m
+    for i, j in parent.covers:
+        lower[j] |= 1 << i
+        upper[i] |= 1 << j
     inner_covers = [(i, j) for i, j in parent.covers if j < body]
-    body_maximal = [y for y in range(body) if parent.leq[y] & body_mask == 1 << y]
+    coatoms = [  # the body-maximal y with their keys
+        (y, (geq[y].bit_count(), lower[y].bit_count()))
+        for y in range(body)
+        if leq[y] & body_mask == 1 << y
+    ]
 
-    for extra in range(1 << (body - 1)):
-        d_mask = extra << 1 | 1
+    # down-sets of the body that contain the bottom, built in index order:
+    # x may join once everything below it, and its previous twin, is in
+    last_twin: dict[tuple[int, int], int] = {}
+    down_sets = [1]
+    for x in range(1, body):
+        need = geq[x] ^ 1 << x
+        twins = (lower[x], upper[x])
+        if twins in last_twin:
+            need |= 1 << last_twin[twins]
+        last_twin[twins] = x
+        down_sets += [d | 1 << x for d in down_sets if d & need == need]
+
+    for d_mask in down_sets:
+        maximal = [d for d in bit_indices(d_mask) if leq[d] & d_mask == 1 << d]
+        key = (d_mask.bit_count() + 1, len(maximal))
+        if any(other > key for y, other in coatoms if not d_mask >> y & 1):
+            continue  # another coatom of the child has a larger key
         ok = True
-        for d in bit_indices(d_mask):
-            if parent.geq[d] & ~d_mask:
-                ok = False  # not a down-set of the body
-                break
-        if not ok:
-            continue
         for a in range(body):
             if d_mask >> a & 1:
                 continue
-            below = d_mask & parent.geq[a]
+            below = d_mask & geq[a]
             top_of = below.bit_length() - 1
-            if below & ~parent.geq[top_of]:
+            if below & ~geq[top_of]:
                 ok = False  # no greatest element under a inside D
                 break
         if not ok:
             continue
-        pairs = list(inner_covers)
-        for d in bit_indices(d_mask):
-            if parent.leq[d] & d_mask == 1 << d:
-                pairs.append((d, body))
-        for y in body_maximal:
-            if not d_mask >> y & 1:
-                pairs.append((y, m))
+        pairs = inner_covers + [(d, body) for d in maximal]
+        pairs += [(y, m) for y, _ in coatoms if not d_mask >> y & 1]
         pairs.append((body, m))
         pairs.sort()  # canonical_form's height pass needs them ordered by i
         yield Child(m + 1, tuple(pairs))

@@ -101,6 +101,17 @@ def _emit_payload(payload: dict, args) -> None:
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--expr", help="lattice expression, e.g. '(C2xC3)+C2'")
@@ -329,7 +340,10 @@ def _parser(enum_limit: int, gen_limit: int) -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="all isomorphism classes of a given size")
     p.add_argument("--size", type=int, required=True, help=f"lattice size, 1..{gen_limit}")
     p.add_argument(
-        "--jobs", type=int, default=1, help="parallel analysis workers, at most one per CPU"
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help="parallel analysis workers, at least 1 and at most one per CPU",
     )
     p.add_argument("--with-con", action="store_true", help="include congruence counts")
     _add_output_flags(p, formats=("jsonl", "table"))

@@ -163,47 +163,61 @@ def _finish(n: int, up: list[int]) -> Lattice:
 
     Raises NotALattice when some pair has no least upper bound or no greatest
     lower bound (this also covers the missing-bottom/top cases: a shared
-    bound failure always shows up on some pair).
+    bound failure always shows up on some pair).  Only the pairs a < b are
+    visited, in row order, and each fills both halves of the tables.  A pair
+    and its mirror have the same bounds, and a comparable pair a < b has
+    meet a and join b, so the first failure, and its message, is the one a
+    visit of the whole square in row order meets first.  The covers are the
+    comparable pairs with nothing strictly between, found in sorted order.
     """
     down = [0] * n
     for i in range(n):
         row = up[i]
-        for j in bit_indices(row):
-            down[j] |= 1 << i
+        bit = 1 << i
+        while row:
+            low = row & -row
+            down[low.bit_length() - 1] |= bit
+            row ^= low
 
-    join_rows = []
-    meet_rows = []
+    join_rows = [bytearray(n) for _ in range(n)]
+    meet_rows = [bytearray(n) for _ in range(n)]
+    covers = []
     for a in range(n):
-        jrow = bytearray(n)
-        mrow = bytearray(n)
+        jrow = join_rows[a]
+        mrow = meet_rows[a]
+        jrow[a] = mrow[a] = a
         up_a = up[a]
         down_a = down[a]
-        for b in range(n):
+        for b in range(a + 1, n):
+            if up_a >> b & 1:  # a below b
+                jrow[b] = join_rows[b][a] = b
+                mrow[b] = meet_rows[b][a] = a
+                if up_a & down[b] == (1 << a) | (1 << b):
+                    covers.append((a, b))
+                continue
             common = up_a & up[b]
             if not common:
                 raise NotALattice(f"elements {a} and {b} have no common upper bound")
             m = (common & -common).bit_length() - 1
             if common & ~up[m]:
                 raise NotALattice(f"elements {a} and {b} have no least upper bound")
-            jrow[b] = m
+            jrow[b] = join_rows[b][a] = m
             common = down_a & down[b]
             if not common:
                 raise NotALattice(f"elements {a} and {b} have no common lower bound")
             m = common.bit_length() - 1
             if common & ~down[m]:
                 raise NotALattice(f"elements {a} and {b} have no greatest lower bound")
-            mrow[b] = m
-        join_rows.append(bytes(jrow))
-        meet_rows.append(bytes(mrow))
+            mrow[b] = meet_rows[b][a] = m
 
-    covers = []
-    for a in range(n):
-        for b in bit_indices(up[a] ^ (1 << a)):
-            if up[a] & down[b] == (1 << a) | (1 << b):
-                covers.append((a, b))
-    covers.sort()
-
-    return Lattice(n, tuple(up), tuple(down), tuple(join_rows), tuple(meet_rows), tuple(covers))
+    return Lattice(
+        n,
+        tuple(up),
+        tuple(down),
+        tuple(map(bytes, join_rows)),
+        tuple(map(bytes, meet_rows)),
+        tuple(covers),
+    )
 
 
 def from_covers(n: int, covers: Iterable[tuple[int, int]]) -> Lattice:

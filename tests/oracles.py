@@ -11,10 +11,13 @@ from __future__ import annotations
 import json
 import random
 from itertools import permutations, product
+from typing import Iterable, Iterator
 
 from latcensus.canon import canonical_form
+from latcensus.census import Child
 from latcensus.congruence import _count_down_sets, join_irreducible_congruences
 from latcensus.core import (
+    BadIndexOrder,
     Lattice,
     NotALattice,
     NotAPoset,
@@ -44,6 +47,114 @@ def lattice_class_forms_bruteforce(n: int) -> set[bytes]:
             continue
         forms.add(canonical_form(lat))
     return forms
+
+
+def augmentations_unpruned(parent: Lattice) -> Iterator[Child]:
+    """All one-element extensions of a lattice (with duplicates).
+
+    ``census._augmentations`` as first written, with no rejection before the
+    canonical form: every mask of the body with the bottom set is tested as
+    a down-set, and every down-set passing the greatest-lower-bound
+    condition gives a child.
+    """
+    m = parent.n
+    if m == 1:
+        yield Child(2, ((0, 1),))
+        return
+    body = m - 1  # indices 0..m-2 survive; new element m-1; new top m
+    body_mask = (1 << body) - 1
+    inner_covers = [(i, j) for i, j in parent.covers if j < body]
+    body_maximal = [y for y in range(body) if parent.leq[y] & body_mask == 1 << y]
+
+    for extra in range(1 << (body - 1)):
+        d_mask = extra << 1 | 1
+        ok = True
+        for d in bit_indices(d_mask):
+            if parent.geq[d] & ~d_mask:
+                ok = False  # not a down-set of the body
+                break
+        if not ok:
+            continue
+        for a in range(body):
+            if d_mask >> a & 1:
+                continue
+            below = d_mask & parent.geq[a]
+            top_of = below.bit_length() - 1
+            if below & ~parent.geq[top_of]:
+                ok = False  # no greatest element under a inside D
+                break
+        if not ok:
+            continue
+        pairs = list(inner_covers)
+        for d in bit_indices(d_mask):
+            if parent.leq[d] & d_mask == 1 << d:
+                pairs.append((d, body))
+        for y in body_maximal:
+            if not d_mask >> y & 1:
+                pairs.append((y, m))
+        pairs.append((body, m))
+        pairs.sort()  # canonical_form's height pass needs them ordered by i
+        yield Child(m + 1, tuple(pairs))
+
+
+def from_covers_full_square(n: int, covers: Iterable[tuple[int, int]]) -> Lattice:
+    """``core.from_covers`` as first written: the same closure, then every
+    ordered pair (a, b) of the n x n square visited in row order for its
+    join and meet, and the covers found in a second pass and sorted."""
+    if n < 1:
+        raise NotALattice("a lattice has at least one element")
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for pair in covers:
+        i, j = pair
+        if not (0 <= i < j < n):
+            raise BadIndexOrder(f"cover pair {pair!r} violates 0 <= i < j < {n}")
+        adj[i].append(j)
+    up = [1 << i for i in range(n)]
+    for i in range(n - 1, -1, -1):
+        row = up[i]
+        for j in adj[i]:
+            row |= up[j]
+        up[i] = row
+
+    down = [0] * n
+    for i in range(n):
+        row = up[i]
+        for j in bit_indices(row):
+            down[j] |= 1 << i
+
+    join_rows = []
+    meet_rows = []
+    for a in range(n):
+        jrow = bytearray(n)
+        mrow = bytearray(n)
+        up_a = up[a]
+        down_a = down[a]
+        for b in range(n):
+            common = up_a & up[b]
+            if not common:
+                raise NotALattice(f"elements {a} and {b} have no common upper bound")
+            m = (common & -common).bit_length() - 1
+            if common & ~up[m]:
+                raise NotALattice(f"elements {a} and {b} have no least upper bound")
+            jrow[b] = m
+            common = down_a & down[b]
+            if not common:
+                raise NotALattice(f"elements {a} and {b} have no common lower bound")
+            m = common.bit_length() - 1
+            if common & ~down[m]:
+                raise NotALattice(f"elements {a} and {b} have no greatest lower bound")
+            mrow[b] = m
+        join_rows.append(bytes(jrow))
+        meet_rows.append(bytes(mrow))
+
+    found = []
+    for a in range(n):
+        for b in bit_indices(up[a] ^ (1 << a)):
+            if up[a] & down[b] == (1 << a) | (1 << b):
+                found.append((a, b))
+    found.sort()
+
+    return Lattice(n, tuple(up), tuple(down), tuple(join_rows), tuple(meet_rows), tuple(found))
 
 
 def canonical_form_bruteforce(lat: Lattice) -> bytes:

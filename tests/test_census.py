@@ -33,6 +33,7 @@ from latcensus.verify import (
     verify_top_three,
 )
 from oracles import (
+    augmentations_unpruned,
     canonical_form_bruteforce,
     diamond,
     lattice_class_forms_bruteforce,
@@ -68,7 +69,29 @@ def test_canonical_form_matches_bruteforce_on_every_generation_child():
                 assert lat.covers == child.covers
                 assert canonical_form(child) == canonical_form_bruteforce(lat)
                 checked += 1
-    assert checked == 3556
+    assert checked == 1501
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_pruned_children_reach_every_class_the_unpruned_ones_reach(n):
+    """Dropping children before their canonical form loses no class: the
+    classes of size n are exactly the forms of every one-element extension
+    of the classes of size n - 1."""
+    forms = {form for form, _ in _census_classes(n)}
+    assert forms == {
+        canonical_form(child)
+        for _, parent in _census_classes(n - 1)
+        for child in augmentations_unpruned(parent)
+    }
+
+
+def test_generation_reaches_the_5994_classes_of_size_ten():
+    """OEIS A006966 at n = 10, past the census limit; the cache is cleared
+    afterwards so no later test holds the n = 10 lattices."""
+    try:
+        assert len(_census_classes(10)) == 5994
+    finally:
+        _census_classes.cache_clear()
 
 
 def test_census_builds_one_lattice_per_class(monkeypatch):

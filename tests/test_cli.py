@@ -270,6 +270,15 @@ def test_census_with_con(capsys):
     assert {row["con_count"] for row in rows} == {8, 4}
 
 
+@pytest.mark.parametrize("jobs", ["0", "-5", "two"])
+def test_census_refuses_jobs_that_are_not_a_positive_integer(capsys, jobs):
+    with pytest.raises(SystemExit) as err:
+        main(["census", "--size", "5", "--jobs", jobs])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--jobs" in captured.err
+
+
 def test_census_rerun_and_jobs_identical(capsys, tmp_path):
     paths = [tmp_path / name for name in ("a.jsonl", "b.jsonl", "c.jsonl")]
     for path, jobs in zip(paths, ("1", "1", "2")):

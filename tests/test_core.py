@@ -3,7 +3,7 @@ import tracemalloc
 from dataclasses import fields
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latcensus.canon import canonical_form, is_isomorphic
@@ -12,6 +12,7 @@ from latcensus.core import (
     ExpressionError,
     IndexOutOfRange,
     Lattice,
+    LatticeError,
     NotALattice,
     NotAPoset,
     SizeLimit,
@@ -26,7 +27,7 @@ from latcensus.core import (
     glued_sum,
     named,
 )
-from oracles import glued_sum_by_covers
+from oracles import from_covers_full_square, glued_sum_by_covers
 from strategies import lattice_expressions, sized_lattice_expressions
 
 
@@ -113,6 +114,38 @@ def test_down_set_rows_transpose_the_up_set_rows(expr):
     lat = build_expression(expr)
     for i, j in itertools.product(range(lat.n), repeat=2):
         assert lat.geq[j] >> i & 1 == lat.leq[i] >> j & 1
+
+
+@st.composite
+def upper_triangular_relations(draw, max_n: int = 10):
+    """(n, pairs i < j) with each pair drawn independently.  Some draws
+    also put 0 under everything or n - 1 over everything, so that lattices
+    and each of the four bound failures come up."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    relation = [pair for pair, keep in zip(pairs, chosen) if keep]
+    if draw(st.booleans()):
+        relation += [(0, j) for j in range(1, n)]
+    if draw(st.booleans()):
+        relation += [(i, n - 1) for i in range(n - 1)]
+    return n, relation
+
+
+def _built(build, n, pairs):
+    try:
+        return build(n, pairs)
+    except LatticeError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400)
+@given(upper_triangular_relations())
+def test_from_covers_matches_the_full_square_build(relation):
+    """The half-square build returns the lattice the full n x n loop builds,
+    or refuses with the same exception type and message."""
+    n, pairs = relation
+    assert _built(from_covers, n, pairs) == _built(from_covers_full_square, n, pairs)
 
 
 def test_from_covers_reduces_redundant_pairs():
