@@ -15,16 +15,15 @@ down-set per orbit of the parent's twin swaps is tried.  For n <= 9 that is
 1502 canonical forms for 1378 classes, against 3557 without the two
 rejections.  A child stays a cover list (``Child``) until its canonical form
 is known: the augmentation appends exactly the new cover pairs, so no
-closure, validation or operation table is built for it.  One ``Lattice`` is
-built per class, from its canonical form, by the validating ``from_covers``,
-and ``canonical_lattice`` checks that the rebuilt covers are the form's
-pairs.  Every duplicate child has the same relabeled cover list as that
-lattice, so it is validated by isomorphism.
+closure, validation or operation table is built for it.  The census holds
+canonical forms only: a class lattice is built from its form by the
+validating ``from_covers`` where it is used, as a parent or for analysis,
+and dropped.  Every duplicate child has the same relabeled cover list as
+that lattice, so it is validated by isomorphism.
 
 Each class is analyzed into a ``CensusRecord`` (subuniverse count, shape,
-3-antichain, and on request the congruence count, taken on the lattice the
-generator holds) and written as one JSONL line; the verdicts over these
-records live in ``verify``.
+3-antichain, and on request the congruence count) and written as one JSONL
+line; the verdicts over these records live in ``verify``.
 """
 
 from __future__ import annotations
@@ -81,14 +80,11 @@ def _augmentations(parent: Lattice) -> Iterator[Child]:
     body_mask = (1 << body) - 1
     leq = parent.leq
     geq = parent.geq
-    lower = [0] * m  # lower and upper covers of each element, as masks
-    upper = [0] * m
-    for i, j in parent.covers:
-        lower[j] |= 1 << i
-        upper[i] |= 1 << j
+    lower = parent.lower_covers
+    upper = parent.upper_covers
     inner_covers = [(i, j) for i, j in parent.covers if j < body]
     coatoms = [  # the body-maximal y with their keys
-        (y, (geq[y].bit_count(), lower[y].bit_count()))
+        (y, (geq[y].bit_count(), len(lower[y])))
         for y in range(body)
         if leq[y] & body_mask == 1 << y
     ]
@@ -129,18 +125,18 @@ def _augmentations(parent: Lattice) -> Iterator[Child]:
 
 
 @lru_cache(maxsize=None)
-def _census_classes(n: int) -> tuple[tuple[bytes, Lattice], ...]:
-    """Canonically labeled representatives of all n-element lattice classes,
-    sorted by canonical form: one validated ``Lattice`` per class."""
+def _census_classes(n: int) -> tuple[bytes, ...]:
+    """The canonical forms of all n-element lattice classes, sorted.  Each
+    parent of size n - 1 is rebuilt from its form, augmented and dropped."""
     if n == 1:
         seen = {canonical_form(Child(1, ()))}
     else:
         seen = {
             canonical_form(child)
-            for _, parent in _census_classes(n - 1)
-            for child in _augmentations(parent)
+            for form in _census_classes(n - 1)
+            for child in _augmentations(canonical_lattice(form))
         }
-    return tuple((form, canonical_lattice(form)) for form in sorted(seen))
+    return tuple(sorted(seen))
 
 
 def _check_census_size(n: int) -> None:
@@ -151,10 +147,10 @@ def _check_census_size(n: int) -> None:
 
 def enumerate_lattices(n: int) -> Iterator[Lattice]:
     """One canonically labeled representative per isomorphism class, in
-    canonical-form order."""
+    canonical-form order, each built from its form as it is yielded."""
     _check_census_size(n)
-    for _, lat in _census_classes(n):
-        yield lat
+    for form in _census_classes(n):
+        yield canonical_lattice(form)
 
 
 @dataclass(frozen=True)
@@ -202,8 +198,8 @@ class CensusRecord:
         return from_covers(self.n, self.covers)
 
 
-def _analyze(item: tuple[bytes, Lattice], with_con: bool = False) -> CensusRecord:
-    form, lat = item
+def _analyze(form: bytes, with_con: bool = False) -> CensusRecord:
+    lat = canonical_lattice(form)
     return CensusRecord(
         n=lat.n,
         canon=form.hex(),
@@ -218,22 +214,23 @@ def _analyze(item: tuple[bytes, Lattice], with_con: bool = False) -> CensusRecor
 def census_records(n: int, jobs: int = 1, with_con: bool = False) -> list[CensusRecord]:
     """Analyzed census for size n, sorted by canonical form.
 
-    ``with_con`` fills ``con_count`` from the class lattices already held.
-    ``jobs`` > 1 fans the per-class analysis out to worker processes, at
-    most one per CPU and per chunk of ``CHUNK`` classes, and runs in process
-    when that leaves one; the output is identical for any ``jobs``.
+    Each class lattice is built from its form, analyzed (``with_con`` adds
+    ``con_count``) and dropped.  ``jobs`` > 1 hands the forms to worker
+    processes, at most one per CPU and per chunk of ``CHUNK`` classes, and
+    runs in process when that leaves one; the output is the same for any
+    ``jobs``.
     """
     _check_census_size(n)
-    items = _census_classes(n)
+    forms = _census_classes(n)
     analyze = partial(_analyze, with_con=with_con)
-    workers = min(jobs, os.cpu_count() or 1, -(-len(items) // CHUNK))
+    workers = min(jobs, os.cpu_count() or 1, -(-len(forms) // CHUNK))
     if workers <= 1:
-        return list(map(analyze, items))
+        return list(map(analyze, forms))
     # imported only where a pool starts, so no other run loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(analyze, items, chunksize=CHUNK))
+        return list(pool.map(analyze, forms, chunksize=CHUNK))
 
 
 def census_jsonl(records: list[CensusRecord]) -> str:

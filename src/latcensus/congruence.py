@@ -145,17 +145,11 @@ def _count_down_sets(up_masks: list[int], down_masks: list[int]) -> int:
 def _dependency_down_masks(lat: Lattice) -> list[int]:
     """For each join-irreducible q, in index order, the join-irreducibles p
     with p D* q, as bitmasks over the positions in that order."""
-    join, geq = lat.join_table, lat.geq
-    # lower-cover counts and the last lower cover, read from ``covers`` so
-    # that no cached ``lower_covers`` is left on the lattice
-    degree, star = [0] * lat.n, [0] * lat.n
-    for i, j in lat.covers:
-        degree[j] += 1
-        star[j] = i
-    ji = [q for q in range(lat.n) if degree[q] == 1]
+    join, geq, lower = lat.join_table, lat.geq, lat.lower_covers
+    ji = [q for q in range(lat.n) if len(lower[q]) == 1]
     rows = []
     for q in ji:
-        q_join, q_star_join = join[q], join[star[q]]
+        q_join, q_star_join = join[q], join[lower[q][0]]
         below = 0  # x = 0 puts q itself in, so the rows come out reflexive
         for x in range(lat.n):
             below |= geq[q_join[x]] & ~geq[q_star_join[x]]

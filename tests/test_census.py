@@ -1,4 +1,6 @@
 import concurrent.futures
+import gc
+import hashlib
 import os
 import random
 
@@ -9,6 +11,7 @@ from latcensus import census as census_mod
 from latcensus.canon import canonical_form, canonical_lattice, is_isomorphic
 from latcensus.census import (
     CensusRecord,
+    _analyze,
     _augmentations,
     _census_classes,
     census_jsonl,
@@ -16,6 +19,7 @@ from latcensus.census import (
     enumerate_lattices,
 )
 from latcensus.core import (
+    Lattice,
     LatticeError,
     SizeLimit,
     build_expression,
@@ -63,8 +67,8 @@ def test_canonical_form_matches_bruteforce_on_every_generation_child():
     canonical form is the brute-force form of that lattice."""
     checked = 0
     for n in range(1, 9):
-        for _, parent in _census_classes(n):
-            for child in _augmentations(parent):
+        for form in _census_classes(n):
+            for child in _augmentations(canonical_lattice(form)):
                 lat = from_covers(child.n, child.covers)
                 assert lat.covers == child.covers
                 assert canonical_form(child) == canonical_form_bruteforce(lat)
@@ -77,27 +81,33 @@ def test_pruned_children_reach_every_class_the_unpruned_ones_reach(n):
     """Dropping children before their canonical form loses no class: the
     classes of size n are exactly the forms of every one-element extension
     of the classes of size n - 1."""
-    forms = {form for form, _ in _census_classes(n)}
-    assert forms == {
+    assert set(_census_classes(n)) == {
         canonical_form(child)
-        for _, parent in _census_classes(n - 1)
-        for child in augmentations_unpruned(parent)
+        for form in _census_classes(n - 1)
+        for child in augmentations_unpruned(canonical_lattice(form))
     }
 
 
 def test_generation_reaches_the_5994_classes_of_size_ten():
-    """OEIS A006966 at n = 10, past the census limit; the cache is cleared
-    afterwards so no later test holds the n = 10 lattices."""
+    """OEIS A006966 at n = 10, past the census limit, and the analysis of
+    those classes pinned by the SHA-256 of its JSONL; the cache is cleared
+    afterwards so no later test holds the n = 10 forms."""
     try:
-        assert len(_census_classes(10)) == 5994
+        forms = _census_classes(10)
+        assert len(forms) == 5994
+        text = census_jsonl([_analyze(form, True) for form in forms])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8498e2b0a1eb105c4ae23e1dd4f9bbfc231ee24a3d1e2652fec69d914acd0b51"
+        )
     finally:
         _census_classes.cache_clear()
 
 
 def test_census_builds_one_lattice_per_class(monkeypatch):
-    """Generation plus analysis with congruences builds exactly one Lattice
-    per class, 1378 = 1+1+1+2+5+15+53+222+1078 for n <= 9; the cache is
-    left holding the lattices this run built."""
+    """A cold census with congruences builds 1378 lattices for n <= 9: the
+    300 parents of sizes 1..8, each rebuilt from its form to be augmented,
+    and the 1078 classes of size 9 to be analyzed.  The cache keeps forms
+    only, so a warm rerun builds the 1078 classes again and no parent."""
     built = []
 
     def counting_from_covers(n, covers):
@@ -111,6 +121,27 @@ def test_census_builds_one_lattice_per_class(monkeypatch):
     assert len(built) == sum(EXPECTED_CLASS_COUNTS.values()) == 1378
     assert len(records) == 1078
     assert all(rec.con_count is not None for rec in records)
+    built.clear()
+    assert census_records(9, with_con=True) == records
+    assert built == [9] * 1078
+
+
+def _live_lattices() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, Lattice))
+
+
+def test_census_holds_no_lattice():
+    """The census cache holds canonical forms, as bytes, and every lattice
+    a census builds is unreachable once its records are dropped."""
+    _census_classes.cache_clear()
+    before = _live_lattices()
+    records = census_records(9, with_con=True)
+    assert len(records) == 1078
+    del records
+    assert _live_lattices() == before
+    for n in range(1, 10):
+        assert all(type(form) is bytes for form in _census_classes(n))
 
 
 @pytest.mark.parametrize("n,jobs,cpus,workers", [
