@@ -189,6 +189,16 @@ def test_classify_and_info_answer_closure_lattices(tmp_path_factory, lat):
         ("N5xC2", "jsonl", "e2dff8d6d8e0908e"),
         ("N5xC2", "table", "54f2944c3301277d"),
         ("N5xC2", "json", "7099cece01af9c7e"),
+        # measured before the scan was folded into enumerate_subuniverses
+        ("B8+N5", "jsonl", "b8826423af31f8d3"),
+        ("B8+N5", "table", "093cc7315777b8ce"),
+        ("B8+N5", "json", "e5112302fe0a72a2"),
+        ("C2xC3xC3", "jsonl", "fa129cbde2bd2a56"),
+        ("C2xC3xC3", "table", "55cf44e7ccdd236f"),
+        ("C2xC3xC3", "json", "89f53661eb8d126c"),
+        ("M3+B4+N5", "jsonl", "dc11856186f52415"),
+        ("M3+B4+N5", "table", "23aacc186d41a6e6"),
+        ("M3+B4+N5", "json", "06fd4c7942d010ac"),
     ],
 )
 def test_enumerate_bytes_are_pinned(expr, fmt, digest):
