@@ -1,7 +1,7 @@
 """latcensus: finite lattices, subuniverse counting, and exhaustive small-size
 verification of the extremal count values."""
 
-from .canon import canonical_form, canonical_lattice, is_isomorphic
+from .canon import canonical_form, canonical_lattice
 from .census import CensusRecord, census_jsonl, census_records, enumerate_lattices
 from .congruence import (
     Congruence,
@@ -13,13 +13,11 @@ from .congruence import (
 )
 from .core import (
     BadIndexOrder,
-    EmptyGenerator,
     ExpressionError,
     IndexOutOfRange,
     Lattice,
     LatticeError,
     NotALattice,
-    NotAPoset,
     SizeLimit,
     SizeTooSmall,
     UnknownName,
@@ -27,9 +25,7 @@ from .core import (
     build_expression,
     chain,
     direct_product,
-    dual,
     from_covers,
-    from_order_matrix,
     glued_cuts,
     glued_sum,
     mask_of,
@@ -48,19 +44,14 @@ from .structure import (
     doubly_irreducibles,
     find_antichain,
     is_chain,
-    isolated_characterization_holds,
     isolated_edges,
     isolated_elements,
-    join_irreducibles,
-    meet_irreducibles,
 )
 from .subuniverse import (
     count_subuniverses,
     count_subuniverses_naive,
     enumerate_subuniverses,
-    generated_sublattice,
     is_subuniverse,
-    trace_count,
 )
 from .verify import (
     SpectrumReport,

@@ -118,10 +118,3 @@ def canonical_lattice(form: bytes) -> Lattice:
     if lat.covers != pairs:
         raise LatticeError(f"form {form.hex()} lists pairs that are not covers")
     return lat
-
-
-def is_isomorphic(first: Lattice, second: Lattice) -> bool:
-    """Order-isomorphism test via canonical form equality."""
-    if first.n != second.n:
-        return False
-    return canonical_form(first) == canonical_form(second)

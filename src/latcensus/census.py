@@ -36,7 +36,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .canon import canonical_form, canonical_lattice
 from .congruence import count_congruences
-from .core import GEN_LIMIT, Lattice, SizeTooSmall, bit_indices, check_size, from_covers
+from .core import GEN_LIMIT, Lattice, SizeTooSmall, bit_indices, check_size
 from .structure import classify, find_antichain
 from .subuniverse import count_subuniverses
 
@@ -180,22 +180,6 @@ class CensusRecord:
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
-    @classmethod
-    def from_json_line(cls, line: str) -> "CensusRecord":
-        d = json.loads(line)
-        return cls(
-            n=d["n"],
-            canon=d["canon"],
-            covers=tuple((i, j) for i, j in d["covers"]),
-            sub_count=d["sub_count"],
-            classification=d["class"],
-            has_antichain3=d["antichain3"],
-            con_count=d.get("con_count"),
-        )
-
-    def lattice(self) -> Lattice:
-        return from_covers(self.n, self.covers)
 
 
 def _analyze(form: bytes, with_con: bool = False) -> CensusRecord:

@@ -24,17 +24,13 @@ from typing import Iterable, Iterator, Optional, Union
 MAX_ELEMENTS = 63  # any lattice: 2^n subuniverses fit an unsigned 64-bit range
 GEN_LIMIT = 9  # census generation and every verdict over it: n = 10 takes seconds
 CANON_LIMIT = 12  # canonical form: tries every labeling inside each height class
-ENUM_LIMIT = 20  # enumeration, trace count, naive scan: up to 2^n subsets each
+ENUM_LIMIT = 20  # enumeration, naive scan: up to 2^n subsets each
 COUNT_LIMIT = 20  # congruence count: memoized down-sets of up to n - 1 join-irreducibles
 NAIVE_LIMIT = 8  # naive congruence oracle: Bell(8) = 4140 partitions
 
 
 class LatticeError(Exception):
     """Base class for all construction and query errors."""
-
-
-class NotAPoset(LatticeError):
-    """The input relation is not reflexive/antisymmetric/transitive."""
 
 
 class NotALattice(LatticeError):
@@ -66,10 +62,6 @@ class UnknownName(LatticeError):
 
 class IndexOutOfRange(LatticeError):
     """Element index outside 0..n-1."""
-
-
-class EmptyGenerator(LatticeError):
-    """Generated sublattice of the empty set is undefined."""
 
 
 class ExpressionError(LatticeError):
@@ -126,14 +118,6 @@ class Lattice:
             downs[j].append(i)
         return tuple(tuple(d) for d in downs)
 
-    @cached_property
-    def height(self) -> tuple[int, ...]:
-        """Length of the longest chain from the bottom to each element."""
-        h = [0] * self.n
-        for i, j in self.covers:
-            h[j] = max(h[j], h[i] + 1)
-        return tuple(h)
-
     def _check(self, a: int) -> None:
         if not 0 <= a < self.n:
             raise IndexOutOfRange(f"element index {a} outside 0..{self.n - 1}")
@@ -161,9 +145,11 @@ class Lattice:
 def _finish(n: int, up: list[int]) -> Lattice:
     """Build the validated Lattice from closed up-set rows.
 
-    Raises NotALattice when some pair has no least upper bound or no greatest
-    lower bound (this also covers the missing-bottom/top cases: a shared
-    bound failure always shows up on some pair).  Only the pairs a < b are
+    Raises NotALattice when some pair has no common upper bound, no least
+    one, or no common lower bound (this also covers the missing-bottom/top
+    cases: a shared bound failure always shows up on some pair).  A pair
+    with no greatest lower bound is never the first failure, so it has no
+    check of its own (see the comment at the meet).  Only the pairs a < b are
     visited, in row order, and each fills both halves of the tables.  A pair
     and its mirror have the same bounds, and a comparable pair a < b has
     meet a and join b, so the first failure, and its message, is the one a
@@ -205,10 +191,11 @@ def _finish(n: int, up: list[int]) -> Lattice:
             common = down_a & down[b]
             if not common:
                 raise NotALattice(f"elements {a} and {b} have no common lower bound")
-            m = common.bit_length() - 1
-            if common & ~down[m]:
-                raise NotALattice(f"elements {a} and {b} have no greatest lower bound")
-            mrow[b] = meet_rows[b][a] = m
+            # the largest-index common lower bound m is the meet: were some
+            # common lower bound not below m, a maximal one x above it would
+            # be incomparable to m, and x and m would share the upper bounds
+            # a and b with no least one, a refusal raised by row min(x, m) < a
+            mrow[b] = meet_rows[b][a] = common.bit_length() - 1
 
     return Lattice(
         n,
@@ -243,33 +230,6 @@ def from_covers(n: int, covers: Iterable[tuple[int, int]]) -> Lattice:
         for j in adj[i]:
             row |= up[j]
         up[i] = row
-    return _finish(n, up)
-
-
-def from_order_matrix(n: int, rows: Iterable[int]) -> Lattice:
-    """Construct a lattice from up-set bitmask rows of an order relation.
-
-    Validates that the relation is a poset in linear-extension indexing and
-    that it is a lattice.  Mostly useful for feeding raw relation tables,
-    e.g. from exhaustive relation scans.
-    """
-    if n < 1:
-        raise NotALattice("a lattice has at least one element")
-    check_size("lattice", n, MAX_ELEMENTS)
-    up = list(rows)
-    if len(up) != n:
-        raise NotAPoset(f"expected {n} rows, got {len(up)}")
-    for i, row in enumerate(up):
-        if not row >> i & 1:
-            raise NotAPoset(f"relation is not reflexive at {i}")
-        if row & ((1 << i) - 1):
-            raise BadIndexOrder(f"element {i} lies below a smaller index")
-        if row >> n:
-            raise NotAPoset(f"row {i} mentions indices beyond {n - 1}")
-    for i in range(n):
-        for j in bit_indices(up[i] ^ (1 << i)):
-            if up[j] & ~up[i]:
-                raise NotAPoset(f"relation is not transitive at ({i}, {j})")
     return _finish(n, up)
 
 
@@ -345,13 +305,6 @@ def direct_product(left: Lattice, right: Lattice) -> Lattice:
                 pairs.append((a, base + j2))
             for i2 in left.upper_covers[i]:
                 pairs.append((a, i2 * w + j))
-    return from_covers(n, pairs)
-
-
-def dual(lat: Lattice) -> Lattice:
-    """Order-reversed lattice; joins and meets swap roles."""
-    n = lat.n
-    pairs = [(n - 1 - j, n - 1 - i) for i, j in lat.covers]
     return from_covers(n, pairs)
 
 

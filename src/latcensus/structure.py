@@ -4,8 +4,8 @@ The extremal subuniverse counts at size n are 2^n for chains, 26*2^(n-5) for
 a B4 block glued between two chains, and 23*2^(n-5) for an N5 block glued
 between two chains; ``classify`` detects those shapes and attaches the
 predicted count, reading the shape off the glued blocks' element and
-cover counts.  ``isolated_characterization_holds`` enumerates every
-subuniverse, so ``enumerate_subuniverses`` bounds it at ``ENUM_LIMIT``.
+cover counts.  Every predicate here reads the order rows, the covers or
+the glued cuts of ``core``; none counts or enumerates subuniverses.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from itertools import combinations
 from typing import Optional
 
 from .core import Lattice, glued_cuts, mask_of, sublattice
-from .subuniverse import enumerate_subuniverses
 
 CHAIN = "Chain"
 GLUED_B4 = "GluedB4"
@@ -45,16 +44,6 @@ def find_antichain(lat: Lattice, k: int) -> Optional[tuple[int, ...]]:
     return None
 
 
-def join_irreducibles(lat: Lattice) -> tuple[int, ...]:
-    """Elements with at most one lower cover; the bottom qualifies."""
-    return tuple(u for u in range(lat.n) if len(lat.lower_covers[u]) <= 1)
-
-
-def meet_irreducibles(lat: Lattice) -> tuple[int, ...]:
-    """Elements with at most one upper cover; the top qualifies."""
-    return tuple(u for u in range(lat.n) if len(lat.upper_covers[u]) <= 1)
-
-
 def doubly_irreducibles(lat: Lattice) -> tuple[int, ...]:
     return tuple(
         u
@@ -75,18 +64,6 @@ def isolated_edges(lat: Lattice) -> tuple[tuple[int, int], ...]:
     return tuple(
         (u, v) for u, v in lat.covers if lat.geq[u] | lat.leq[v] == full
     )
-
-
-def isolated_characterization_holds(lat: Lattice, u: int) -> bool:
-    """Whether every subuniverse stays closed when u is added or removed.
-
-    This property characterizes the isolated elements, which the census
-    tests confirm exhaustively.
-    """
-    lat._check(u)
-    masks = set(enumerate_subuniverses(lat))
-    bit = 1 << u
-    return all(m | bit in masks and m & ~bit in masks for m in masks)
 
 
 @dataclass(frozen=True)

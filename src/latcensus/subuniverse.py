@@ -17,20 +17,19 @@ about half a second and 27 MB, and a wide 63-element one several seconds
 and 69 MB (Python 3.11, shared 2-core VM).  Closure of a given subset is
 tested by ``core.unclosed_pair``, the check ``sublattice`` uses too.
 
-Enumeration and the trace count visit each subuniverse, so they use a
-pruned depth-first scan (``_scan``) over the whole lattice in
-linear-extension order.  Enumeration needs no sort: the scan meets the
-subsets of each size in exactly the reverse of member-tuple order, so
+Enumeration yields each subuniverse, so ``enumerate_subuniverses`` is the
+one pruned depth-first scan over the whole lattice in linear-extension
+order, and no count goes through it.  It needs no sort: the scan meets
+the subsets of each size in exactly the reverse of member-tuple order, so
 bucketing by size and reading each bucket backwards gives the output order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .core import (
     ENUM_LIMIT,
-    EmptyGenerator,
     Lattice,
     bit_indices,
     check_size,
@@ -45,64 +44,6 @@ def is_subuniverse(lat: Lattice, subset: Union[int, Iterable[int]]) -> bool:
     ``subset`` is a bitmask or an iterable of indices.
     """
     return unclosed_pair(lat, member_mask(lat, subset)) is None
-
-
-def generated_sublattice(lat: Lattice, subset: Union[int, Iterable[int]]) -> int:
-    """Mask of the smallest subuniverse containing the (nonempty) subset."""
-    mask = member_mask(lat, subset)
-    if mask == 0:
-        raise EmptyGenerator("generated sublattice needs at least one generator")
-    while True:
-        new = mask
-        elems = list(bit_indices(mask))
-        for i, a in enumerate(elems):
-            jrow = lat.join_table[a]
-            mrow = lat.meet_table[a]
-            for b in elems[i:]:
-                new |= 1 << jrow[b]
-                new |= 1 << mrow[b]
-        if new == mask:
-            return mask
-        mask = new
-
-
-def _scan(lat: Lattice, leaf: Callable[[int], object]) -> None:
-    """Call ``leaf(mask)`` once for each subuniverse of the lattice.
-
-    Elements are decided in index order, a linear extension, so the meet
-    of a new element with a chosen one lands on an index already decided
-    (a missing meet prunes at once) and the join lands on a later index (a
-    forced inclusion).
-    """
-    join_table = lat.join_table
-    meet_table = lat.meet_table
-    top = lat.n - 1
-
-    def rec(e: int, chosen_mask: int, chosen: list[int], required: int) -> None:
-        bit = 1 << e
-        if e == top:
-            # its meet with a chosen element is that element and its join
-            # is itself, so the top may always be added
-            if not required & bit:
-                leaf(chosen_mask)
-            leaf(chosen_mask | bit)
-            return
-        if not required & bit:
-            rec(e + 1, chosen_mask, chosen, required)
-        jrow = join_table[e]
-        mrow = meet_table[e]
-        new_required = required & ~bit
-        for c in chosen:
-            if not chosen_mask >> mrow[c] & 1:
-                return  # a meet fell outside: no extension includes e
-            j = jrow[c]
-            if j != e:
-                new_required |= 1 << j
-        chosen.append(e)
-        rec(e + 1, chosen_mask | bit, chosen, new_required)
-        chosen.pop()
-
-    rec(0, 0, [], 0)
 
 
 def count_subuniverses(lat: Lattice) -> int:
@@ -209,8 +150,11 @@ def count_subuniverses_naive(lat: Lattice) -> int:
 def enumerate_subuniverses(lat: Lattice) -> Iterator[int]:
     """Yield every subuniverse's mask once, ordered by size then member tuple.
 
-    ``_scan`` decides indices in increasing order, excluding each one
-    before including it.  Two subsets of equal size first differ at the
+    A pruned depth-first scan decides the elements in index order, a
+    linear extension: the meet of a new element with a chosen one lands on
+    an index already decided (a missing meet prunes at once) and the join
+    on a later index (a forced inclusion).  Each index is excluded before
+    it is included.  Two subsets of equal size first differ at the
     smallest index i of their symmetric difference: the one holding i comes
     first as a member tuple but is reached second by the scan.  So within
     one size the scan order is exactly the reverse of tuple order, and the
@@ -218,21 +162,36 @@ def enumerate_subuniverses(lat: Lattice) -> Iterator[int]:
     is computed.
     """
     check_size("enumeration", lat.n, ENUM_LIMIT)
+    join_table = lat.join_table
+    meet_table = lat.meet_table
+    top = lat.n - 1
     buckets: list[list[int]] = [[] for _ in range(lat.n + 1)]
-    _scan(lat, lambda mask: buckets[mask.bit_count()].append(mask))
+
+    def rec(e: int, chosen_mask: int, chosen: list[int], required: int) -> None:
+        bit = 1 << e
+        if e == top:
+            # its meet with a chosen element is that element and its join
+            # is itself, so the top may always be added
+            size = len(chosen)
+            if not required & bit:
+                buckets[size].append(chosen_mask)
+            buckets[size + 1].append(chosen_mask | bit)
+            return
+        if not required & bit:
+            rec(e + 1, chosen_mask, chosen, required)
+        jrow = join_table[e]
+        mrow = meet_table[e]
+        new_required = required & ~bit
+        for c in chosen:
+            if not chosen_mask >> mrow[c] & 1:
+                return  # a meet fell outside: no extension includes e
+            j = jrow[c]
+            if j != e:
+                new_required |= 1 << j
+        chosen.append(e)
+        rec(e + 1, chosen_mask | bit, chosen, new_required)
+        chosen.pop()
+
+    rec(0, 0, [], 0)
     for bucket in buckets:
         yield from reversed(bucket)
-
-
-def trace_count(lat: Lattice, subset: Union[int, Iterable[int]]) -> int:
-    """Number of distinct intersections of the subset with subuniverses.
-
-    For any H this satisfies |Sub(L)| <= trace_count(L, H) * 2^(n - |H|),
-    since each trace has at most 2^(n-|H|) preimages.  Only the distinct
-    traces are held, never the subuniverses themselves.
-    """
-    check_size("trace count", lat.n, ENUM_LIMIT)
-    h = member_mask(lat, subset)
-    traces: set[int] = set()
-    _scan(lat, lambda mask: traces.add(mask & h))
-    return len(traces)

@@ -14,21 +14,93 @@ from itertools import permutations, product
 from typing import Iterable, Iterator
 
 from latcensus.canon import canonical_form
-from latcensus.census import Child
+from latcensus.census import CensusRecord, Child
 from latcensus.congruence import _count_down_sets, join_irreducible_congruences
 from latcensus.core import (
     BadIndexOrder,
     Lattice,
+    LatticeError,
     NotALattice,
-    NotAPoset,
+    _finish,
     bit_indices,
     from_covers,
-    from_order_matrix,
     mask_of,
+    member_mask,
     named,
     sublattice,
 )
-from latcensus.subuniverse import _scan
+from latcensus.subuniverse import enumerate_subuniverses
+
+
+class NotAPoset(LatticeError):
+    """The input relation is not reflexive/antisymmetric/transitive."""
+
+
+def from_order_matrix(n: int, rows: Iterable[int]) -> Lattice:
+    """Construct a lattice from up-set bitmask rows of an order relation,
+    validating that the relation is a poset in linear-extension indexing
+    and that it is a lattice."""
+    if n < 1:
+        raise NotALattice("a lattice has at least one element")
+    up = list(rows)
+    if len(up) != n:
+        raise NotAPoset(f"expected {n} rows, got {len(up)}")
+    for i, row in enumerate(up):
+        if not row >> i & 1:
+            raise NotAPoset(f"relation is not reflexive at {i}")
+        if row & ((1 << i) - 1):
+            raise BadIndexOrder(f"element {i} lies below a smaller index")
+        if row >> n:
+            raise NotAPoset(f"row {i} mentions indices beyond {n - 1}")
+    for i in range(n):
+        for j in bit_indices(up[i] ^ (1 << i)):
+            if up[j] & ~up[i]:
+                raise NotAPoset(f"relation is not transitive at ({i}, {j})")
+    return _finish(n, up)
+
+
+def dual(lat: Lattice) -> Lattice:
+    """Order-reversed lattice; joins and meets swap roles."""
+    n = lat.n
+    return from_covers(n, [(n - 1 - j, n - 1 - i) for i, j in lat.covers])
+
+
+def join_irreducibles(lat: Lattice) -> tuple[int, ...]:
+    """Elements with at most one lower cover; the bottom qualifies."""
+    return tuple(u for u in range(lat.n) if len(lat.lower_covers[u]) <= 1)
+
+
+def meet_irreducibles(lat: Lattice) -> tuple[int, ...]:
+    """Elements with at most one upper cover; the top qualifies."""
+    return tuple(u for u in range(lat.n) if len(lat.upper_covers[u]) <= 1)
+
+
+def isolated_characterization_holds(lat: Lattice, u: int) -> bool:
+    """Whether every subuniverse stays closed when u is added or removed;
+    this property characterizes the isolated elements."""
+    lat._check(u)
+    masks = set(enumerate_subuniverses(lat))
+    bit = 1 << u
+    return all(m | bit in masks and m & ~bit in masks for m in masks)
+
+
+def trace_count(lat: Lattice, subset: int | Iterable[int]) -> int:
+    """Number of distinct intersections of the subset with subuniverses."""
+    h = member_mask(lat, subset)
+    return len({m & h for m in enumerate_subuniverses(lat)})
+
+
+def record_from_json_line(line: str) -> CensusRecord:
+    """The census record a JSONL line was written from."""
+    d = json.loads(line)
+    covers = tuple(map(tuple, d["covers"]))
+    return CensusRecord(d["n"], d["canon"], covers, d["sub_count"], d["class"],
+                        d["antichain3"], d.get("con_count"))
+
+
+def record_lattice(rec: CensusRecord) -> Lattice:
+    """The lattice a census record describes."""
+    return from_covers(rec.n, rec.covers)
 
 
 def lattice_class_forms_bruteforce(n: int) -> set[bytes]:
@@ -161,10 +233,10 @@ def canonical_form_bruteforce(lat: Lattice) -> bytes:
     """``canonical_form`` by trying every permutation within each sorted
     (height, #lower covers, #upper covers) class, twins included."""
     n = lat.n
-    key = [
-        (lat.height[x], len(lat.lower_covers[x]), len(lat.upper_covers[x]))
-        for x in range(n)
-    ]
+    h = [0] * n  # the longest chain from the bottom to each element
+    for i, j in lat.covers:  # sorted by i, so each h[i] is final when read
+        h[j] = max(h[j], h[i] + 1)
+    key = [(h[x], len(lat.lower_covers[x]), len(lat.upper_covers[x])) for x in range(n)]
     classes: dict[tuple[int, int, int], list[int]] = {}
     for x in range(n):
         classes.setdefault(key[x], []).append(x)
@@ -225,11 +297,10 @@ def con_count_by_closures(lat: Lattice) -> int:
 
 def enumerate_output(lat: Lattice, fmt: str) -> str:
     """``latcensus enumerate`` output in format ``fmt``, rendered as it was
-    first written: the closed subsets from one scan, sorted by (size, member
-    tuple), then json.dumps per line, ``size k: ...`` rows, or one indent=2
-    payload.  Only the set of subsets comes from the program."""
-    masks: list[int] = []
-    _scan(lat, masks.append)
+    first written: the closed subsets, sorted by (size, member tuple), then
+    json.dumps per line, ``size k: ...`` rows, or one indent=2 payload.
+    Only the set of subsets comes from the program."""
+    masks = list(enumerate_subuniverses(lat))
     masks.sort(key=lambda m: (m.bit_count(), tuple(bit_indices(m))))
     subs = [list(bit_indices(m)) for m in masks]
     if fmt == "jsonl":

@@ -15,11 +15,10 @@ import pytest
 from latcensus.canon import canonical_form
 from latcensus.cli import main
 from latcensus.congruence import count_congruences, count_congruences_naive
-from latcensus.core import build_expression, chain, glued_sum, named, sublattice
+from latcensus.core import build_expression, chain, glued_sum, mask_of, named, sublattice
 from latcensus.structure import (
     GLUED_B4,
     GLUED_N5,
-    isolated_characterization_holds,
     isolated_edges,
     isolated_elements,
 )
@@ -27,8 +26,6 @@ from latcensus.subuniverse import (
     count_subuniverses,
     count_subuniverses_naive,
     enumerate_subuniverses,
-    generated_sublattice,
-    trace_count,
 )
 from latcensus.verify import (
     verify_antichain_bound,
@@ -36,7 +33,13 @@ from latcensus.verify import (
     verify_gap,
     verify_top_three,
 )
-from oracles import random_expression
+from oracles import (
+    closure_bruteforce,
+    isolated_characterization_holds,
+    random_expression,
+    record_lattice,
+    trace_count,
+)
 
 FIXTURES = [
     ("B4", 13),
@@ -116,7 +119,7 @@ def test_criterion_07_trace_and_sublattice_bounds(census):
     samples_a = samples_b = 0
     for n in range(1, 8):
         for rec in census(n):
-            lat = rec.lattice()
+            lat = record_lattice(rec)
             total = rec.sub_count
             for size in range(min(n, 4) + 1):
                 for h in itertools.combinations(range(n), size):
@@ -126,7 +129,7 @@ def test_criterion_07_trace_and_sublattice_bounds(census):
             for size in range(1, min(n, 3) + 1):
                 for gens in itertools.combinations(range(n), size):
                     samples_b += 1
-                    k_mask = generated_sublattice(lat, gens)
+                    k_mask = mask_of(closure_bruteforce(lat, set(gens)))
                     if k_mask in seen:
                         continue
                     seen.add(k_mask)
@@ -160,7 +163,7 @@ def _check_equality_case_both_directions(census):
             for core, base, tag in targets:
                 if rec.sub_count != base * 2 ** (n - core.n):
                     continue
-                lat = rec.lattice()
+                lat = record_lattice(rec)
                 if _embeds(lat, core):
                     assert rec.classification == tag, rec.canon
 
@@ -176,7 +179,7 @@ def _embeds(lat, target):
 def test_criterion_08_isolated_characterization(census):
     for n in range(1, 8):
         for rec in census(n):
-            lat = rec.lattice()
+            lat = record_lattice(rec)
             isolated = set(isolated_elements(lat))
             for u in range(n):
                 assert isolated_characterization_holds(lat, u) == (u in isolated)
@@ -186,7 +189,7 @@ def test_criterion_08_isolated_characterization(census):
 def test_criterion_09_oracle_equivalence(census):
     for n in range(1, 8):
         for rec in census(n):
-            lat = rec.lattice()
+            lat = record_lattice(rec)
             assert count_subuniverses(lat) == count_subuniverses_naive(lat)
     rng = random.Random(0xC0FFEE)
     expressions = set()
@@ -198,7 +201,7 @@ def test_criterion_09_oracle_equivalence(census):
         assert count_subuniverses(lat) == count_subuniverses_naive(lat), expr
     for n in range(1, 7):
         for rec in census(n):
-            lat = rec.lattice()
+            lat = record_lattice(rec)
             assert count_congruences(lat) == count_congruences_naive(lat)
     announce(9, "optimized counters match naive scans (census and 100 random)")
 

@@ -137,17 +137,34 @@ def test_congruence_counts_have_one_source():
     ], imported
 
 
-def test_only_enumeration_and_traces_visit_each_subuniverse():
-    """``subuniverse._scan`` calls a leaf once per subuniverse, so only the
-    functions whose output is that large may use it; counts go through the
-    frontier pass."""
-    users = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for func in ast.walk(tree):
-            if not isinstance(func, ast.FunctionDef) or func.name == "_scan":
-                continue
-            names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(func)}
-            if "_scan" in names:
-                users.add(f"{path.name}: {func.name}")
-    assert users == {"subuniverse.py: enumerate_subuniverses", "subuniverse.py: trace_count"}
+def test_enumeration_is_the_only_scan_over_subuniverses():
+    """``enumerate_subuniverses`` visits each subuniverse by its nested
+    ``rec``, the only recursion in subuniverse.py; no ``_scan`` remains,
+    ``count_subuniverses`` reaches neither, and no function in the package
+    takes a callback on a mask."""
+    funcs = [
+        node for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+    ]
+    assert "_scan" not in {func.name for func in funcs}
+    tree = ast.parse((PACKAGE / "subuniverse.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    calls = {name: {node.func.id for node in ast.walk(func) if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)} for name, func in defs.items()}
+    assert [name for name in defs if name in calls[name]] == ["rec"]
+    assert any(node is defs["rec"] for node in ast.walk(defs["enumerate_subuniverses"]))
+    assert not {"_scan", "enumerate_subuniverses", "rec"} & calls["count_subuniverses"]
+    callbacks = [
+        f"{func.name}({arg.arg})" for func in funcs for arg in func.args.args + func.args.kwonlyargs
+        if arg.annotation and ast.unparse(arg.annotation).strip("'\"").startswith("Callable[[int]")
+    ]
+    assert callbacks == []
+
+
+def test_structure_imports_from_core_only():
+    """``structure`` reads orders, covers and glued cuts; it imports no
+    other sibling, in particular no subuniverse scan."""
+    siblings = {path.stem for path in PACKAGE.glob("*.py")} | {"latcensus"}
+    imported = {name.lstrip(".").split(".")[0] for name in _imported_names("structure.py")}
+    assert imported & siblings == {"core"}

@@ -7,10 +7,8 @@ import random
 import pytest
 
 from latcensus import canon as canon_mod
-from latcensus import census as census_mod
-from latcensus.canon import canonical_form, canonical_lattice, is_isomorphic
+from latcensus.canon import canonical_form, canonical_lattice
 from latcensus.census import (
-    CensusRecord,
     _analyze,
     _augmentations,
     _census_classes,
@@ -25,7 +23,6 @@ from latcensus.core import (
     build_expression,
     chain,
     direct_product,
-    dual,
     from_covers,
     named,
 )
@@ -40,8 +37,10 @@ from oracles import (
     augmentations_unpruned,
     canonical_form_bruteforce,
     diamond,
+    dual,
     lattice_class_forms_bruteforce,
     random_relabeling,
+    record_from_json_line,
 )
 
 EXPECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222, 9: 1078}
@@ -114,7 +113,7 @@ def test_census_builds_one_lattice_per_class(monkeypatch):
         built.append(n)
         return from_covers(n, covers)
 
-    monkeypatch.setattr(census_mod, "from_covers", counting_from_covers)
+    # census builds every lattice through canon.canonical_lattice
     monkeypatch.setattr(canon_mod, "from_covers", counting_from_covers)
     _census_classes.cache_clear()
     records = census_records(9, with_con=True)
@@ -209,10 +208,10 @@ def test_canonical_lattice_roundtrip():
 
 
 def test_is_isomorphic_examples():
-    assert is_isomorphic(named("B4"), build_expression("C2xC2"))
-    assert is_isomorphic(named("N5"), dual(named("N5")))
-    assert not is_isomorphic(chain(5), named("N5"))
-    assert not is_isomorphic(chain(4), chain(5))  # size mismatch is just False
+    assert canonical_form(named("B4")) == canonical_form(build_expression("C2xC2"))
+    assert canonical_form(named("N5")) == canonical_form(dual(named("N5")))
+    assert canonical_form(chain(5)) != canonical_form(named("N5"))
+    assert canonical_form(chain(4)) != canonical_form(chain(5))  # the size is the first byte
 
 
 @pytest.mark.parametrize("n,count", sorted(EXPECTED_CLASS_COUNTS.items()))
@@ -322,7 +321,7 @@ def test_census_jsonl_roundtrip_and_key_order(census):
     assert len(lines) == 15
     for line, rec in zip(lines, records):
         assert line.startswith('{"n":6,"canon":"')
-        assert CensusRecord.from_json_line(line) == rec
+        assert record_from_json_line(line) == rec
     assert census_jsonl(census_records(6)) == text  # rerun is byte-identical
 
 
