@@ -199,10 +199,27 @@ def test_classify_and_info_answer_closure_lattices(tmp_path_factory, lat):
         ("M3+B4+N5", "jsonl", "dc11856186f52415"),
         ("M3+B4+N5", "table", "23aacc186d41a6e6"),
         ("M3+B4+N5", "json", "06fd4c7942d010ac"),
+        # measured before the scan grouped earlier elements by meet and join
+        ("C4xC5", "jsonl", "586323c472fd6c62"),
+        ("C4xC5", "table", "eae814e202bd278c"),
+        ("C4xC5", "json", "3d925ef7ca663377"),
     ],
 )
 def test_enumerate_bytes_are_pinned(expr, fmt, digest):
     text = _enumerate_text(["--expr", expr, "--format", fmt])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+# M_14 under a fixed relabeling: 14 atoms whose pairwise meets and joins are
+# the same two elements; measured as for C4xC5 above
+@pytest.mark.parametrize(
+    "fmt,digest",
+    [("jsonl", "0e8144ed54646bb5"), ("table", "667d2bb2ff10c882"), ("json", "ea319304dc5715c4")],
+)
+def test_enumerate_file_bytes_are_pinned(tmp_path, fmt, digest):
+    path = tmp_path / "m14.json"
+    path.write_text(json.dumps(lattice_json(random_relabeling(diamond(14), random.Random(14)))))
+    text = _enumerate_text(["--file", str(path), "--format", fmt])
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
