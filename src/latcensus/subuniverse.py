@@ -19,7 +19,11 @@ tested by ``core.unclosed_pair``, the check ``sublattice`` uses too.
 
 Enumeration yields each subuniverse, so ``enumerate_subuniverses`` is the
 one pruned depth-first scan over the whole lattice in linear-extension
-order, and no count goes through it.  It needs no sort: the scan meets
+order, and no count goes through it.  Only the earlier elements
+incomparable to a new element can refuse it or force a join (one below it
+meets it in itself, already decided, and joins it in the new element), so a
+node costs one AND per distinct meet and one OR per distinct join with
+those, not one test per chosen element.  It needs no sort: the scan meets
 the subsets of each size in exactly the reverse of member-tuple order, so
 bucketing by size and reading each bucket backwards gives the output order.
 """
@@ -150,48 +154,58 @@ def count_subuniverses_naive(lat: Lattice) -> int:
 def enumerate_subuniverses(lat: Lattice) -> Iterator[int]:
     """Yield every subuniverse's mask once, ordered by size then member tuple.
 
-    A pruned depth-first scan decides the elements in index order, a
-    linear extension: the meet of a new element with a chosen one lands on
-    an index already decided (a missing meet prunes at once) and the join
-    on a later index (a forced inclusion).  Each index is excluded before
-    it is included.  Two subsets of equal size first differ at the
-    smallest index i of their symmetric difference: the one holding i comes
-    first as a member tuple but is reached second by the scan.  So within
-    one size the scan order is exactly the reverse of tuple order, and the
-    masks are bucketed by size and each bucket read backwards; no sort key
-    is computed.
+    A pruned depth-first scan decides the elements in index order, a linear
+    extension: the meet of a new element e with a chosen one lands on an
+    index already decided (a missing meet prunes at once) and the join on a
+    later index (a forced inclusion).  Only the earlier elements
+    incomparable to e matter: one below e meets it in itself, already
+    chosen, and joins it in e.  So they are grouped once by their meet and
+    by their join with e: e is refused when a group holds a chosen element
+    and its meet is not chosen, and a node costs one operation per distinct
+    meet or join, not per chosen element.  Each index is excluded before it
+    is included.  Two subsets of equal size first differ at the smallest
+    index i of their symmetric difference: the one holding i comes first as
+    a member tuple but is reached second by the scan.  So within one size
+    the scan order is exactly the reverse of tuple order, and the masks are
+    bucketed by size and each bucket read backwards; no sort key is
+    computed.
     """
     check_size("enumeration", lat.n, ENUM_LIMIT)
-    join_table = lat.join_table
-    meet_table = lat.meet_table
     top = lat.n - 1
+    # (meet or join bit, group) pairs per element: its earlier incomparable
+    # elements, grouped by their meet and by their join with it
+    meet_rules: list[list[tuple[int, int]]] = []
+    join_rules: list[list[tuple[int, int]]] = []
+    for e in range(top):
+        by_meet: dict[int, int] = {}
+        by_join: dict[int, int] = {}
+        mrow, jrow = lat.meet_table[e], lat.join_table[e]
+        for c in bit_indices((1 << e) - 1 & ~lat.geq[e]):
+            by_meet[1 << mrow[c]] = by_meet.get(1 << mrow[c], 0) | 1 << c
+            by_join[1 << jrow[c]] = by_join.get(1 << jrow[c], 0) | 1 << c
+        meet_rules.append(list(by_meet.items()))
+        join_rules.append(list(by_join.items()))
     buckets: list[list[int]] = [[] for _ in range(lat.n + 1)]
 
-    def rec(e: int, chosen_mask: int, chosen: list[int], required: int) -> None:
+    def rec(e: int, chosen: int, size: int, required: int) -> None:
         bit = 1 << e
         if e == top:
             # its meet with a chosen element is that element and its join
             # is itself, so the top may always be added
-            size = len(chosen)
             if not required & bit:
-                buckets[size].append(chosen_mask)
-            buckets[size + 1].append(chosen_mask | bit)
+                buckets[size].append(chosen)
+            buckets[size + 1].append(chosen | bit)
             return
         if not required & bit:
-            rec(e + 1, chosen_mask, chosen, required)
-        jrow = join_table[e]
-        mrow = meet_table[e]
-        new_required = required & ~bit
-        for c in chosen:
-            if not chosen_mask >> mrow[c] & 1:
+            rec(e + 1, chosen, size, required)
+        for m, group in meet_rules[e]:
+            if chosen & group and not chosen & m:
                 return  # a meet fell outside: no extension includes e
-            j = jrow[c]
-            if j != e:
-                new_required |= 1 << j
-        chosen.append(e)
-        rec(e + 1, chosen_mask | bit, chosen, new_required)
-        chosen.pop()
+        for j, group in join_rules[e]:
+            if chosen & group:
+                required |= j
+        rec(e + 1, chosen | bit, size + 1, required)
 
-    rec(0, 0, [], 0)
+    rec(0, 0, 0, 0)
     for bucket in buckets:
         yield from reversed(bucket)

@@ -30,6 +30,7 @@ from latcensus.subuniverse import (
     is_subuniverse,
 )
 from latcensus import subuniverse
+from latcensus.census import enumerate_lattices
 from oracles import (
     closure_bruteforce,
     dual,
@@ -111,6 +112,30 @@ def test_enumerate_order_is_size_then_member_tuple(expr, seed):
     key = [(m.bit_count(), tuple(bit_indices(m))) for m in masks]
     assert all(a < b for a, b in zip(key, key[1:]))  # ordered, no repeats
     assert len(masks) == count_subuniverses(lat)
+
+
+def _naive_enumeration(lat):
+    """Independent oracle: the 2^n subsets accepted by is_subuniverse, in
+    the output order (size, then member tuple)."""
+    masks = [m for m in range(1 << lat.n) if is_subuniverse(lat, m)]
+    return sorted(masks, key=lambda m: (m.bit_count(), tuple(bit_indices(m))))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumerate_equals_naive_scan_on_census_classes(n):
+    for lat in enumerate_lattices(n):
+        assert list(enumerate_subuniverses(lat)) == _naive_enumeration(lat)
+
+
+@given(expr=lattice_expressions(max_size=12), seed=st.integers(0, 2**32 - 1))
+def test_enumerate_equals_naive_scan_on_relabeled_expressions(expr, seed):
+    lat = random_relabeling(build_expression(expr), random.Random(seed))
+    assert list(enumerate_subuniverses(lat)) == _naive_enumeration(lat)
+
+
+@given(lat=closure_lattices(max_n=12))
+def test_enumerate_equals_naive_scan_on_closure_lattices(lat):
+    assert list(enumerate_subuniverses(lat)) == _naive_enumeration(lat)
 
 
 def test_enumerate_is_a_generator_function():
