@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterator, NamedTuple, Optional
 
@@ -153,8 +152,7 @@ def enumerate_lattices(n: int) -> Iterator[Lattice]:
         yield canonical_lattice(form)
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     """One isomorphism class: canonical form, covers, counts, classification."""
 
     n: int

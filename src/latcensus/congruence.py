@@ -22,14 +22,12 @@ substitution closure; the tests use them as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import COUNT_LIMIT, NAIVE_LIMIT, Lattice, bit_indices, check_size
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(NamedTuple):
     """A lattice congruence as a partition, blocks sorted by least element."""
 
     blocks: tuple[tuple[int, ...], ...]

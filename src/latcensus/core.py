@@ -16,9 +16,8 @@ that subuniverse counts (at most 2^n) stay inside an unsigned 64-bit range.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 # Size limits: the largest n each operation accepts.
 MAX_ELEMENTS = 63  # any lattice: 2^n subuniverses fit an unsigned 64-bit range
@@ -83,22 +82,25 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class Lattice:
-    """Immutable finite lattice on indices 0..n-1 in linear-extension order.
-
-    ``leq[i]`` is the bitmask of the up-set of i and ``geq[i]`` that of its
-    down-set (the transpose); ``join_table`` and ``meet_table`` are n rows of
-    n precomputed indices; ``covers`` is the transitive reduction as a sorted
-    tuple of (lower, upper) pairs.
-    """
-
+class _LatticeRows(NamedTuple):
     n: int
     leq: tuple[int, ...]
     geq: tuple[int, ...]
     join_table: tuple[bytes, ...]
     meet_table: tuple[bytes, ...]
     covers: tuple[tuple[int, int], ...]
+
+
+class Lattice(_LatticeRows):
+    """Immutable finite lattice on indices 0..n-1 in linear-extension order.
+
+    ``leq[i]`` is the bitmask of the up-set of i and ``geq[i]`` that of its
+    down-set (the transpose); ``join_table`` and ``meet_table`` are n rows of
+    n precomputed indices; ``covers`` is the transitive reduction as a sorted
+    tuple of (lower, upper) pairs.  The six fields form a NamedTuple; this
+    subclass declares no ``__slots__``, so each instance has the
+    ``__dict__`` that the ``cached_property`` values are stored in.
+    """
 
     @cached_property
     def full_mask(self) -> int:

@@ -10,9 +10,8 @@ the glued cuts of ``core``; none counts or enumerates subuniverses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import Lattice, glued_cuts, mask_of, sublattice
 
@@ -66,8 +65,7 @@ def isolated_edges(lat: Lattice) -> tuple[tuple[int, int], ...]:
     )
 
 
-@dataclass(frozen=True)
-class GluedDecomposition:
+class GluedDecomposition(NamedTuple):
     """Ordered indecomposable blocks whose glued sum rebuilds the lattice.
 
     Cut elements (comparable to everything) are shared between adjacent
@@ -92,8 +90,7 @@ def decompose_glued_sum(lat: Lattice) -> GluedDecomposition:
     return GluedDecomposition(cuts, tuple(blocks))
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Shape tag plus the witness decomposition and predicted count.
 
     ``prefix``/``suffix`` count the chain elements strictly below/above the

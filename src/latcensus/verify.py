@@ -16,8 +16,7 @@ census limit ``GEN_LIMIT``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .census import CensusRecord, census_records
 from .core import GEN_LIMIT, SizeTooSmall, check_size
@@ -26,8 +25,7 @@ from .structure import CHAIN, GLUED_B4, GLUED_N5
 TOP_SHAPES = (CHAIN, GLUED_B4, GLUED_N5)  # witnesses of the top three values
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one check at one size.
 
     ``details`` holds the check's own findings (expected and observed values,
@@ -56,8 +54,7 @@ class Verdict:
         }
 
 
-@dataclass
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """Distinct count values (descending) with witness canonical forms."""
 
     n: int

@@ -484,18 +484,21 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_importing_the_cli_loads_no_process_pool():
+    """No process pool is loaded at all, and neither ``dataclasses`` nor the
+    modules it pulls in are loaded beyond what a bare interpreter has."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     code = (
-        "import sys, latcensus.cli; "
-        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+        "import sys; bare = set(sys.modules); import latcensus.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules], "
+        "[m for m in ('dataclasses', 'inspect', 'ast') if m in sys.modules and m not in bare])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[] []\n"
 
 
 def test_build_parser_is_shared_until_a_printed_limit_changes(monkeypatch):

@@ -1,12 +1,13 @@
 import itertools
 import tracemalloc
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latcensus.canon import canonical_form
+from latcensus.census import census_records
+from latcensus.congruence import principal_congruence
 from latcensus.core import (
     BadIndexOrder,
     ExpressionError,
@@ -24,6 +25,8 @@ from latcensus.core import (
     glued_sum,
     named,
 )
+from latcensus.structure import classify, decompose_glued_sum
+from latcensus.verify import run_checks, spectrum
 from oracles import (
     NotAPoset,
     dual,
@@ -108,7 +111,7 @@ def test_overlong_chain_name_is_refused():
 
 
 def test_down_set_rows_are_a_positional_field():
-    assert [f.name for f in fields(Lattice)] == [
+    assert list(Lattice._fields) == [
         "n", "leq", "geq", "join_table", "meet_table", "covers"
     ]
 
@@ -190,9 +193,21 @@ def test_index_out_of_range():
 
 
 def test_frozen_value():
+    """Every declared field of the seven record types is read-only."""
     b4 = named("B4")
-    with pytest.raises(AttributeError):
-        b4.n = 5
+    values = [
+        b4,
+        census_records(5)[0],
+        classify(b4),
+        decompose_glued_sum(b4),
+        principal_congruence(b4, 0, 1),
+        run_checks("main", [5])[0],
+        spectrum(5),
+    ]
+    for value in values:
+        for field in type(value)._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, getattr(value, field))
 
 
 def test_b4_join_meet_of_atoms():

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from latcensus import verify as verify_mod
@@ -14,7 +12,7 @@ from latcensus.verify import (
 
 def test_gap_rule_is_shared_by_main_and_corollary(census):
     records = census(5)
-    fake = replace(records[0], sub_count=24)  # strictly between 23 and 26
+    fake = records[0]._replace(sub_count=24)  # strictly between 23 and 26
     records = [fake] + records[1:]
     top_three = verify_top_three(5, records=records)
     gap = verify_gap(5, records=records)
