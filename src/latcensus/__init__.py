@@ -1,8 +1,17 @@
 """latcensus: finite lattices, subuniverse counting, and exhaustive small-size
-verification of the extremal count values."""
+verification of the extremal count values.
 
-from .canon import canonical_form, canonical_lattice
-from .census import CensusRecord, census_jsonl, census_records, enumerate_lattices
+``core``, ``congruence``, ``structure`` and ``subuniverse`` are imported
+with the package.  ``canon``, ``census`` and ``verify`` are registered in
+``sys.modules`` and bound here as lazy modules: each one's code runs on the
+first attribute read from it, so a command on one lattice never compiles
+or runs them.  Their public names are re-exported by the module
+``__getattr__`` below and read from the module on each access.
+"""
+
+import importlib.util
+import sys
+
 from .congruence import (
     Congruence,
     count_congruences,
@@ -53,16 +62,65 @@ from .subuniverse import (
     enumerate_subuniverses,
     is_subuniverse,
 )
-from .verify import (
-    SpectrumReport,
-    Verdict,
-    run_checks,
-    spectrum,
-    verify_antichain_bound,
-    verify_congruence_spectrum,
-    verify_gap,
-    verify_top_three,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def _lazy(name: str):
+    """Register the submodule ``name`` so that its code runs on first use.
+
+    The caller binds the result as a package attribute: ``from . import
+    name`` then finds it without reading ``__spec__``, which would run it.
+    """
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    loader.exec_module(module)
+    return module
+
+
+canon = _lazy("canon")
+census = _lazy("census")
+verify = _lazy("verify")
+
+# re-exported name -> the lazy module that defines it
+_LAZY_NAMES = {
+    **dict.fromkeys(("canonical_form", "canonical_lattice"), canon),
+    **dict.fromkeys(
+        ("CensusRecord", "census_jsonl", "census_records", "enumerate_lattices"), census
+    ),
+    **dict.fromkeys((
+        "SpectrumReport", "Verdict", "run_checks", "spectrum", "verify_antichain_bound",
+        "verify_congruence_spectrum", "verify_gap", "verify_top_three",
+    ), verify),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY_NAMES})
+
+
+__all__ = [
+    "BadIndexOrder", "CHAIN", "CensusRecord", "Classification", "Congruence",
+    "ExpressionError", "GLUED_B4", "GLUED_N5", "GluedDecomposition", "IndexOutOfRange",
+    "Lattice", "LatticeError", "NotALattice", "OTHER", "SizeLimit", "SizeTooSmall",
+    "SpectrumReport", "UnknownName", "Verdict", "bit_indices", "build_expression",
+    "canon", "canonical_form", "canonical_lattice", "census", "census_jsonl",
+    "census_records", "chain", "classify", "congruence", "core", "count_congruences",
+    "count_congruences_naive", "count_subuniverses", "count_subuniverses_naive",
+    "decompose_glued_sum", "direct_product", "doubly_irreducibles",
+    "enumerate_lattices", "enumerate_subuniverses", "find_antichain", "from_covers",
+    "glued_cuts", "glued_sum", "is_chain", "is_congruence", "is_subuniverse",
+    "isolated_edges", "isolated_elements", "join_irreducible_congruences", "mask_of",
+    "named", "principal_congruence", "run_checks", "spectrum", "structure",
+    "sublattice", "subuniverse", "verify", "verify_antichain_bound",
+    "verify_congruence_spectrum", "verify_gap", "verify_top_three",
+]
 __version__ = "0.1.0"

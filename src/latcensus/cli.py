@@ -358,7 +358,6 @@ def _parser(enum_limit: int, gen_limit: int) -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run an exhaustive verification check")
     p.add_argument(
         "--theorem",
-        choices=(*verify_mod.CHECKS, "all"),
         required=True,
         help="main: top-three counts and witness shapes; lemma4: the "
         "3-antichain bound; corollary: gaps between the top counts; "

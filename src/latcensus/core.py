@@ -235,6 +235,14 @@ def from_covers(n: int, covers: Iterable[tuple[int, int]]) -> Lattice:
     return _finish(n, up)
 
 
+# glued_sum's byte tables, built once: _INDICES[a:b] is the index run
+# a..b-1, _BYTE[i] is index i alone, and _SHIFT[s] translates every index
+# below 256 - s to index + s
+_INDICES = bytes(range(256))
+_BYTE = tuple(_INDICES[i : i + 1] for i in range(MAX_ELEMENTS))
+_SHIFT = tuple(_INDICES[s:] + bytes(s) for s in range(MAX_ELEMENTS))
+
+
 def glued_sum(first: Lattice, *rest: Lattice) -> Lattice:
     """Stack the parts from bottom to top, built from the parts' own tables.
 
@@ -261,13 +269,13 @@ def glued_sum(first: Lattice, *rest: Lattice) -> Lattice:
         end = s + part.n  # one past the part's top
         above = full >> end << end
         below = (1 << s) - 1
-        joins_above = bytes(range(end, n))  # x v y = y above the part
-        meets_below = bytes(range(s))  # x ^ y = y below it
+        joins_above = _INDICES[end:n]  # x v y = y above the part
+        meets_below = _INDICES[:s]  # x ^ y = y below it
         # a part's indices are below 63, so index + s stays inside a byte
-        shift = bytes(range(s, 256)) + bytes(s)
+        shift = _SHIFT[s]
         # the bottom of every part after the first is the previous top
         for x in range(0 if k == 0 else 1, part.n):
-            own = bytes([s + x])  # x v y = x below the part, x ^ y = x above it
+            own = _BYTE[s + x]  # x v y = x below the part, x ^ y = x above it
             leq.append(part.leq[x] << s | above)
             geq.append(part.geq[x] << s | below)
             join_rows.append(own * s + part.join_table[x].translate(shift) + joins_above)

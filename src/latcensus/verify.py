@@ -19,10 +19,14 @@ from __future__ import annotations
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .census import CensusRecord, census_records
-from .core import GEN_LIMIT, SizeTooSmall, check_size
+from .core import GEN_LIMIT, LatticeError, SizeTooSmall, check_size
 from .structure import CHAIN, GLUED_B4, GLUED_N5
 
 TOP_SHAPES = (CHAIN, GLUED_B4, GLUED_N5)  # witnesses of the top three values
+
+
+class UnknownTheorem(LatticeError, ValueError):
+    """Theorem name that is neither a key of ``CHECKS`` nor ``"all"``."""
 
 
 class Verdict(NamedTuple):
@@ -276,11 +280,12 @@ def run_checks(theorem: str, sizes: Iterable[int]) -> list[Verdict]:
 
     Congruences are counted only for ``"remark1"`` and ``"all"``.  The
     name and every size are checked before any census is built, so an
-    unknown theorem (``ValueError``) or an out-of-range size fails at once.
+    unknown theorem (``UnknownTheorem``) or an out-of-range size fails at
+    once.
     """
     if theorem != "all" and theorem not in CHECKS:
         names = ", ".join(repr(name) for name in [*CHECKS, "all"])
-        raise ValueError(f"theorem must be one of {names}, got {theorem!r}")
+        raise UnknownTheorem(f"theorem must be one of {names}, got {theorem!r}")
     sizes = list(sizes)
     if not sizes:
         raise SizeTooSmall("no size to verify; the checks are stated for n >= 5")

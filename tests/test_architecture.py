@@ -1,5 +1,9 @@
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import latcensus
@@ -107,6 +111,66 @@ def test_benchmark_hooks_resolve_in_the_package(monkeypatch):
                 assert hasattr(obj, attr), f"{script}: latcensus.{chain}"
                 obj = getattr(obj, attr)
             assert callable(obj) or not is_called, f"{script}: latcensus.{chain}"
+
+
+# The lookup ``Tracer.install`` makes once the worker's set-up is done: a
+# module absent from ``sys.modules`` then, or one first imported inside a
+# command, would leave its targets untraced.
+_TRACER_PROBE = """
+import json, sys
+import latcensus.cli
+latcensus.cli.build_parser()
+import tracer
+print(json.dumps([
+    span for span, (module, attr) in tracer.TARGETS.items()
+    if sys.modules.get(module) is None or not callable(getattr(sys.modules[module], attr, None))
+]))
+"""
+
+
+def test_tracer_targets_are_in_sys_modules_after_set_up():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), str(LATBENCH), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACER_PROBE], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+# ``latcensus.__all__``, pinned so that loading a module lazily drops no public name
+PUBLIC_NAMES = [
+    "BadIndexOrder", "CHAIN", "CensusRecord", "Classification", "Congruence",
+    "ExpressionError", "GLUED_B4", "GLUED_N5", "GluedDecomposition", "IndexOutOfRange",
+    "Lattice", "LatticeError", "NotALattice", "OTHER", "SizeLimit", "SizeTooSmall",
+    "SpectrumReport", "UnknownName", "Verdict", "bit_indices", "build_expression", "canon",
+    "canonical_form", "canonical_lattice", "census", "census_jsonl", "census_records",
+    "chain", "classify", "congruence", "core", "count_congruences", "count_congruences_naive",
+    "count_subuniverses", "count_subuniverses_naive", "decompose_glued_sum", "direct_product",
+    "doubly_irreducibles", "enumerate_lattices", "enumerate_subuniverses", "find_antichain",
+    "from_covers", "glued_cuts", "glued_sum", "is_chain", "is_congruence", "is_subuniverse",
+    "isolated_edges", "isolated_elements", "join_irreducible_congruences", "mask_of", "named",
+    "principal_congruence", "run_checks", "spectrum", "structure", "sublattice",
+    "subuniverse", "verify", "verify_antichain_bound", "verify_congruence_spectrum",
+    "verify_gap", "verify_top_three",
+]
+
+
+def test_package_exports_are_pinned_and_resolve():
+    assert sorted(latcensus.__all__) == PUBLIC_NAMES
+    namespace = {}
+    exec("from latcensus import *", namespace)
+    listed = set(dir(latcensus))
+    for name in PUBLIC_NAMES:
+        value = getattr(latcensus, name)
+        assert namespace[name] is value, name
+        assert name in listed, name
+    # a lazy re-export is the defining module's current attribute
+    assert latcensus.census_records is latcensus.census.census_records
+    assert latcensus.canonical_form is latcensus.canon.canonical_form
+    assert not hasattr(latcensus, "no_such_name")
 
 
 def test_congruence_counts_have_one_source():

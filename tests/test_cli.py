@@ -358,6 +358,31 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert "fabricated failure" in err
 
 
+def test_verify_refuses_an_unknown_theorem_before_any_census(capsys, monkeypatch):
+    """The parser takes any ``--theorem``; ``run_checks`` refuses a name it
+    does not know with one error line listing every name, and exit 2."""
+    def no_census(*args, **kwargs):
+        raise AssertionError("census built for an unknown theorem")
+
+    monkeypatch.setattr(census_mod, "census_records", no_census)
+    monkeypatch.setattr(verify_mod, "census_records", no_census)
+    code, out, err = run(capsys, "verify", "--theorem", "nope", "--size", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    for name in ("main", "corollary", "lemma4", "remark1", "all", "nope"):
+        assert repr(name) in err
+
+
+def test_verify_help_describes_every_theorem(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--theorem THEOREM" in text
+    for name in [*verify_mod.CHECKS, "all"]:
+        assert f" {name}: " in text, name
+
+
 def test_verify_needs_a_size(capsys):
     code, _, err = run(capsys, "verify", "--theorem", "main")
     assert code == 2 and "verify needs --size or --max-n" in err
@@ -471,14 +496,18 @@ def test_verify_and_spectrum_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_python_dash_m_runs_the_cli():
+def _python(*args):
+    """Run a fresh interpreter that imports latcensus from this checkout."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "latcensus", "count", "--expr", "C5"],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _python("-m", "latcensus", "count", "--expr", "C5")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"n": 5, "sub_count": 32, "normalized": "32*2^(5-5)"}
 
@@ -486,19 +515,51 @@ def test_python_dash_m_runs_the_cli():
 def test_importing_the_cli_loads_no_process_pool():
     """No process pool is loaded at all, and neither ``dataclasses`` nor the
     modules it pulls in are loaded beyond what a bare interpreter has."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     code = (
         "import sys; bare = set(sys.modules); import latcensus.cli; "
         "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules], "
         "[m for m in ('dataclasses', 'inspect', 'ast') if m in sys.modules and m not in bare])"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[] []\n"
+
+
+# After each step, in one process: the lazy modules whose code has not run.
+# ``type`` reads no attribute, so checking does not run a module.
+_LAZY_PROBE = """
+import contextlib, io, json, sys, types
+import latcensus.cli
+
+def unexecuted():
+    return [m for m in ("canon", "census", "verify")
+            if type(sys.modules["latcensus." + m]) is not types.ModuleType]
+
+steps = [["import"]] + [argv.split() for argv in sys.argv[1:]]
+seen = [unexecuted()]
+for argv in steps[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert latcensus.cli.main(argv) == 0, argv
+    seen.append(unexecuted())
+print(json.dumps([[argv[0], names] for argv, names in zip(steps, seen)]))
+"""
+
+
+def test_per_lattice_commands_run_no_census_code():
+    """``canon``, ``census`` and ``verify`` run on first use: no command on
+    one lattice runs them, ``census`` runs the first two, ``verify`` all."""
+    per_lattice = ["count", "enumerate", "classify", "con-count", "info"]
+    proc = _python(
+        "-c", _LAZY_PROBE,
+        *[f"{command} --expr N5+B4" for command in per_lattice],
+        "census --size 5", "verify --theorem main --size 5",
+    )
+    assert proc.returncode == 0, proc.stderr
+    lazy = ["canon", "census", "verify"]
+    assert json.loads(proc.stdout) == [
+        ["import", lazy], *[[command, lazy] for command in per_lattice],
+        ["census", ["verify"]], ["verify", []],
+    ]
 
 
 def test_build_parser_is_shared_until_a_printed_limit_changes(monkeypatch):
