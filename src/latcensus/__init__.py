@@ -13,7 +13,6 @@ import importlib.util
 import sys
 
 from .congruence import (
-    Congruence,
     count_congruences,
     count_congruences_naive,
     is_congruence,
@@ -108,11 +107,11 @@ def __dir__() -> list[str]:
 
 
 __all__ = [
-    "BadIndexOrder", "CHAIN", "CensusRecord", "Classification", "Congruence",
-    "ExpressionError", "GLUED_B4", "GLUED_N5", "GluedDecomposition", "IndexOutOfRange",
-    "Lattice", "LatticeError", "NotALattice", "OTHER", "SizeLimit", "SizeTooSmall",
-    "SpectrumReport", "UnknownName", "Verdict", "bit_indices", "build_expression",
-    "canon", "canonical_form", "canonical_lattice", "census", "census_jsonl",
+    "BadIndexOrder", "CHAIN", "CensusRecord", "Classification", "ExpressionError",
+    "GLUED_B4", "GLUED_N5", "GluedDecomposition", "IndexOutOfRange", "Lattice",
+    "LatticeError", "NotALattice", "OTHER", "SizeLimit", "SizeTooSmall", "SpectrumReport",
+    "UnknownName", "Verdict", "bit_indices", "build_expression", "canon",
+    "canonical_form", "canonical_lattice", "census", "census_jsonl",
     "census_records", "chain", "classify", "congruence", "core", "count_congruences",
     "count_congruences_naive", "count_subuniverses", "count_subuniverses_naive",
     "decompose_glued_sum", "direct_product", "doubly_irreducibles",

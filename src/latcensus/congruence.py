@@ -16,78 +16,46 @@ Lattices", AMS 1995, ch. 2; Freese, "Computing congruences efficiently",
 Algebra Universalis 59, 2008).  So |Con(L)| is the number of subsets of J
 closed under "q in S and p D q imply p in S".  One pass over the join table
 per q in J finds D; no congruence is closed.  ``principal_congruence`` and
-``join_irreducible_congruences`` compute the congruences themselves by
-substitution closure; the tests use them as an independent oracle.
+``join_irreducible_congruences`` close congruences by substitution and
+return them as block tuples; the tests use them as an independent oracle.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import COUNT_LIMIT, NAIVE_LIMIT, Lattice, bit_indices, check_size
 
 
-class Congruence(NamedTuple):
-    """A lattice congruence as a partition, blocks sorted by least element."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    def block_index(self) -> list[int]:
-        """Element -> block number map."""
-        idx = [0] * self.n
-        for k, block in enumerate(self.blocks):
-            for x in block:
-                idx[x] = k
-        return idx
-
-    def collapses(self, a: int, b: int) -> bool:
-        idx = self.block_index()
-        return idx[a] == idx[b]
-
-    def refines(self, other: "Congruence") -> bool:
-        """True iff every block of self lies inside a block of other."""
-        idx = other.block_index()
-        return all(len({idx[x] for x in block}) == 1 for block in self.blocks)
-
-    def is_trivial(self) -> bool:
-        return all(len(b) == 1 for b in self.blocks)
-
-
-def _blocks_from_classes(n: int, cls: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    by_cls: dict[int, list[int]] = {}
-    for x in range(n):
-        by_cls.setdefault(cls[x], []).append(x)
-    return tuple(tuple(b) for b in sorted(by_cls.values()))
+def _respects_operations(lat: Lattice, cls: Sequence[int]) -> bool:
+    """True iff the partition with class assignment ``cls`` has the
+    substitution property for join and meet."""
+    join, meet, n = lat.join_table, lat.meet_table, lat.n
+    for a in range(n):
+        for b in range(a + 1, n):
+            if cls[a] != cls[b]:
+                continue
+            ja, ma, jb, mb = join[a], meet[a], join[b], meet[b]
+            for z in range(n):
+                if cls[ja[z]] != cls[jb[z]] or cls[ma[z]] != cls[mb[z]]:
+                    return False
+    return True
 
 
 def is_congruence(lat: Lattice, blocks: Iterable[Iterable[int]]) -> bool:
-    """Check the substitution property of a partition of the elements."""
+    """Check that ``blocks`` partition the elements and respect join and meet."""
     cls = [-1] * lat.n
     for k, block in enumerate(blocks):
         for x in block:
             if not 0 <= x < lat.n or cls[x] != -1:
                 return False
             cls[x] = k
-    if -1 in cls:
-        return False
-    for a in range(lat.n):
-        for b in range(a + 1, lat.n):
-            if cls[a] != cls[b]:
-                continue
-            ja, ma = lat.join_table[a], lat.meet_table[a]
-            jb, mb = lat.join_table[b], lat.meet_table[b]
-            for z in range(lat.n):
-                if cls[ja[z]] != cls[jb[z]] or cls[ma[z]] != cls[mb[z]]:
-                    return False
-    return True
+    return -1 not in cls and _respects_operations(lat, cls)
 
 
-def principal_congruence(lat: Lattice, a: int, b: int) -> Congruence:
-    """Smallest congruence collapsing a and b (iterated substitution closure)."""
+def principal_congruence(lat: Lattice, a: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """Smallest congruence collapsing a and b (iterated substitution
+    closure), as its blocks sorted by least element."""
     lat._check(a)
     lat._check(b)
     if a == b:
@@ -113,16 +81,16 @@ def principal_congruence(lat: Lattice, a: int, b: int) -> Congruence:
         for z in range(n):
             queue.append((jx[z], jy[z]))
             queue.append((mx[z], my[z]))
-    return Congruence(_blocks_from_classes(n, [find(x) for x in range(n)]))
+    blocks: dict[int, list[int]] = {}
+    for x in range(n):
+        blocks.setdefault(find(x), []).append(x)
+    return tuple(tuple(b) for b in blocks.values())
 
 
-def join_irreducible_congruences(lat: Lattice) -> list[Congruence]:
-    """Distinct congruences generated by single cover pairs."""
-    distinct: dict[tuple, Congruence] = {}
-    for u, v in lat.covers:
-        theta = principal_congruence(lat, u, v)
-        distinct.setdefault(theta.blocks, theta)
-    return list(distinct.values())
+def join_irreducible_congruences(lat: Lattice) -> list[tuple[tuple[int, ...], ...]]:
+    """Distinct congruences generated by single cover pairs, in order of
+    first cover."""
+    return list(dict.fromkeys(principal_congruence(lat, u, v) for u, v in lat.covers))
 
 
 def _count_down_sets(up_masks: list[int], down_masks: list[int]) -> int:
@@ -190,9 +158,5 @@ def _set_partitions(n: int) -> Iterator[list[int]]:
 def count_congruences_naive(lat: Lattice) -> int:
     """Independent oracle: test every partition for the substitution property."""
     check_size("naive congruence scan", lat.n, NAIVE_LIMIT)
-    total = 0
-    for cls in _set_partitions(lat.n):
-        if is_congruence(lat, _blocks_from_classes(lat.n, cls)):
-            total += 1
-    return total
+    return sum(_respects_operations(lat, cls) for cls in _set_partitions(lat.n))
 

@@ -285,11 +285,12 @@ def con_count_by_closures(lat: Lattice) -> int:
     substitution, order the distinct results by refinement, count down-sets."""
     ji = join_irreducible_congruences(lat)
     k = len(ji)
+    block_of = [{x: set(block) for block in theta for x in block} for theta in ji]
     up = [1 << i for i in range(k)]
     down = [1 << i for i in range(k)]
     for i in range(k):
         for j in range(k):
-            if i != j and ji[i].refines(ji[j]):
+            if i != j and all(set(b) <= block_of[j][b[0]] for b in ji[i]):
                 up[i] |= 1 << j
                 down[j] |= 1 << i
     return _count_down_sets(up, down)

@@ -142,10 +142,10 @@ def test_tracer_targets_are_in_sys_modules_after_set_up():
 
 # ``latcensus.__all__``, pinned so that loading a module lazily drops no public name
 PUBLIC_NAMES = [
-    "BadIndexOrder", "CHAIN", "CensusRecord", "Classification", "Congruence",
-    "ExpressionError", "GLUED_B4", "GLUED_N5", "GluedDecomposition", "IndexOutOfRange",
-    "Lattice", "LatticeError", "NotALattice", "OTHER", "SizeLimit", "SizeTooSmall",
-    "SpectrumReport", "UnknownName", "Verdict", "bit_indices", "build_expression", "canon",
+    "BadIndexOrder", "CHAIN", "CensusRecord", "Classification", "ExpressionError",
+    "GLUED_B4", "GLUED_N5", "GluedDecomposition", "IndexOutOfRange", "Lattice",
+    "LatticeError", "NotALattice", "OTHER", "SizeLimit", "SizeTooSmall", "SpectrumReport",
+    "UnknownName", "Verdict", "bit_indices", "build_expression", "canon",
     "canonical_form", "canonical_lattice", "census", "census_jsonl", "census_records",
     "chain", "classify", "congruence", "core", "count_congruences", "count_congruences_naive",
     "count_subuniverses", "count_subuniverses_naive", "decompose_glued_sum", "direct_product",

@@ -17,6 +17,7 @@ from latcensus.census import (
     enumerate_lattices,
 )
 from latcensus.core import (
+    GEN_LIMIT,
     Lattice,
     LatticeError,
     SizeLimit,
@@ -44,6 +45,7 @@ from oracles import (
 )
 
 EXPECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222, 9: 1078}
+SELF_DUAL_CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 7, 7: 13, 8: 36, 9: 76, 10: 232}
 
 
 def test_canonical_form_basic_equalities():
@@ -87,13 +89,33 @@ def test_pruned_children_reach_every_class_the_unpruned_ones_reach(n):
     }
 
 
+def _assert_closed_under_duality(n: int) -> None:
+    """The duals of the classes of size n are those classes again, and the
+    pinned number of them are their own duals.  The generator inserts
+    coatoms, so duality checks it from the other end: a lost class leaves
+    its dual without a partner or, if self-dual, lowers the self-dual count.
+    Only a class lost together with its dual escapes, and the pinned class
+    counts catch that."""
+    forms = _census_classes(n)
+    duals = [canonical_form(dual(canonical_lattice(form))) for form in forms]
+    assert sorted(duals) == sorted(forms)
+    assert sum(d == form for d, form in zip(duals, forms)) == SELF_DUAL_CLASS_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", range(1, GEN_LIMIT + 1))
+def test_census_is_closed_under_duality(n):
+    _assert_closed_under_duality(n)
+
+
 def test_generation_reaches_the_5994_classes_of_size_ten():
-    """OEIS A006966 at n = 10, past the census limit, and the analysis of
-    those classes pinned by the SHA-256 of its JSONL; the cache is cleared
-    afterwards so no later test holds the n = 10 forms."""
+    """OEIS A006966 at n = 10, past the census limit, closed under duality,
+    and the analysis of those classes pinned by the SHA-256 of its JSONL;
+    the cache is cleared afterwards so no later test holds the n = 10
+    forms."""
     try:
         forms = _census_classes(10)
         assert len(forms) == 5994
+        _assert_closed_under_duality(10)
         text = census_jsonl([_analyze(form, True) for form in forms])
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "8498e2b0a1eb105c4ae23e1dd4f9bbfc231ee24a3d1e2652fec69d914acd0b51"

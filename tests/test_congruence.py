@@ -5,7 +5,6 @@ import latcensus.congruence as con_mod
 from latcensus.canon import canonical_form
 from latcensus.census import enumerate_lattices
 from latcensus.congruence import (
-    Congruence,
     count_congruences,
     count_congruences_naive,
     is_congruence,
@@ -28,10 +27,9 @@ from strategies import closure_lattices, lattice_expressions
 
 
 def test_principal_congruence_examples():
-    theta = principal_congruence(chain(3), 0, 1)
-    assert theta.blocks == ((0, 1), (2,))
+    assert principal_congruence(chain(3), 0, 1) == ((0, 1), (2,))
     monolith = principal_congruence(named("N5"), 1, 3)  # collapse a and c
-    assert monolith.blocks == ((0,), (1, 3), (2,), (4,))
+    assert monolith == ((0,), (1, 3), (2,), (4,))
     with pytest.raises(ValueError):
         principal_congruence(chain(3), 1, 1)
     with pytest.raises(IndexOutOfRange):
@@ -45,21 +43,8 @@ def test_principal_congruences_are_congruences(census):
             for a in range(n):
                 for b in range(a + 1, n):
                     theta = principal_congruence(lat, a, b)
-                    assert is_congruence(lat, theta.blocks)
-                    assert theta.collapses(a, b)
-
-
-def test_congruence_refinement():
-    lat = named("N5")
-    monolith = principal_congruence(lat, 1, 3)
-    bigger = principal_congruence(lat, 0, 1)
-    assert monolith.refines(bigger)  # the monolith sits below every other
-    assert not bigger.refines(monolith)
-    all_block = Congruence((tuple(range(5)),))
-    assert monolith.refines(all_block)
-    assert not all_block.refines(monolith)
-    assert not monolith.is_trivial()
-    assert Congruence(((0,), (1,), (2,), (3,), (4,))).is_trivial()
+                    assert is_congruence(lat, theta)
+                    assert any(a in block and b in block for block in theta)
 
 
 def test_is_congruence_rejects_non_partitions():
@@ -106,7 +91,7 @@ def test_downset_count_matches_naive_named(name):
     assert count_congruences(lat) == count_congruences_naive(lat)
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, NAIVE_LIMIT + 1))
 def test_downset_count_matches_naive_census(census, n):
     for rec in census(n):
         lat = record_lattice(rec)
