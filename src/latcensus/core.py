@@ -26,6 +26,11 @@ CANON_LIMIT = 12  # canonical form: each twin-group arrangement per (height, cov
 ENUM_LIMIT = 20  # enumeration, naive scan: up to 2^n subsets each
 COUNT_LIMIT = 20  # congruence count: memoized down-sets of up to n - 1 join-irreducibles
 NAIVE_LIMIT = 8  # naive congruence oracle: Bell(8) = 4140 partitions
+# subuniverse count by 2^n-bit truth tables up to here, by the frontier pass
+# above: each element added doubles the tables' work, and the widest
+# lattices gain least (M_10, n = 12: 2.4x faster; M_11, n = 13: 1.2x;
+# M_12, n = 14: 0.9x, so slower)
+TABLE_LIMIT = 12
 
 
 class LatticeError(Exception):

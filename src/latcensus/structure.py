@@ -10,10 +10,9 @@ the glued cuts of ``core``; none counts or enumerates subuniverses.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import NamedTuple, Optional
 
-from .core import Lattice, glued_cuts, mask_of, sublattice
+from .core import Lattice, bit_indices, glued_cuts, mask_of, sublattice
 
 CHAIN = "Chain"
 GLUED_B4 = "GluedB4"
@@ -29,17 +28,25 @@ def find_antichain(lat: Lattice, k: int) -> Optional[tuple[int, ...]]:
     """Lexicographically first k-element antichain, or None.
 
     Only k = 2 and k = 3 are supported; the count bounds need nothing wider.
+    The members are read off incomparability masks: the elements after a
+    and incomparable to it are the bits above index a outside ``leq[a]``
+    (every element below a has a lower index).  The answer is the first a
+    with such a b, and for k = 3 the first such b with a third one, c,
+    outside ``leq[b] | geq[b]`` too; no such c precedes b, or (a, c, b)
+    would have been found first.
     """
     if k not in (2, 3):
         raise ValueError(f"antichain size must be 2 or 3, got {k}")
+    leq, geq = lat.leq, lat.geq
     full = lat.full_mask
-    comparable = [lat.leq[i] | lat.geq[i] for i in range(lat.n)]
-    candidates = [i for i in range(lat.n) if comparable[i] != full]
-    for combo in combinations(candidates, k):
-        if all(
-            not comparable[a] >> b & 1 for a, b in combinations(combo, 2)
-        ):
-            return combo
+    for a in range(lat.n):
+        after_a = full & ~((2 << a) - 1) & ~leq[a]
+        for b in bit_indices(after_a):
+            if k == 2:
+                return (a, b)
+            third = after_a & ~(leq[b] | geq[b])
+            if third:
+                return (a, b, (third & -third).bit_length() - 1)
     return None
 
 

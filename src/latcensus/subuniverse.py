@@ -4,8 +4,17 @@ The empty set counts as a subuniverse; the nonempty ones are exactly the
 sublattices.  A subuniverse is a bitmask over element indices, in and out
 of every function here; ``core.bit_indices`` lists its members.
 
-Counting is one level-by-level frontier pass over the whole lattice
-(``count_subuniverses``), as in frontier-based search for ZDDs (Kawahara,
+``count_subuniverses`` takes one of two paths, chosen from n alone.  Up to
+``core.TABLE_LIMIT`` = 12 elements, ``_count_by_tables`` tests every subset
+at once on truth tables (Knuth, TAOCP Vol. 4A, 7.1): one 2^n-bit int per
+element, and per incomparable pair one AND-NOT that marks the subsets
+missing its join or meet.  Each element added doubles that work, and wide
+lattices gain least: at n <= 12 the tables were at least twice as fast as
+the frontier pass on every lattice tried (M_10, n = 12: 2.4x), at n = 13
+M_11 gains only 1.2x, and at n = 14 M_12 is already slower (0.9x; Python
+3.11, shared 2-core VM).  A larger lattice is counted by one
+level-by-level frontier pass over the whole lattice
+(``_count_by_frontier``), as in frontier-based search for ZDDs (Kawahara,
 Inoue, Iwashita & Minato, IEICE Trans. Fundamentals E100-A, 2017): the
 elements are decided in index order and equal states merge, so a count
 costs time in proportion to the widths of the levels, not to the number of
@@ -30,10 +39,12 @@ bucketing by size and reading each bucket backwards gives the output order.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Union
 
 from .core import (
     ENUM_LIMIT,
+    TABLE_LIMIT,
     Lattice,
     bit_indices,
     check_size,
@@ -51,6 +62,57 @@ def is_subuniverse(lat: Lattice, subset: Union[int, Iterable[int]]) -> bool:
 
 
 def count_subuniverses(lat: Lattice) -> int:
+    """Exact number of subuniverses, empty set included.
+
+    A lattice with n <= TABLE_LIMIT elements is counted by truth tables
+    (``_count_by_tables``), a larger one by the frontier pass
+    (``_count_by_frontier``); the choice follows n alone.  Both agree with
+    count_subuniverses_naive everywhere the three run.
+    """
+    if lat.n <= TABLE_LIMIT:
+        return _count_by_tables(lat)
+    return _count_by_frontier(lat)
+
+
+@lru_cache(maxsize=None)
+def _truth_tables(n: int) -> tuple[int, ...]:
+    """``T[a]`` for a in 0..n-1: the 2^n-bit int whose bit s is set iff
+    subset s (a mask over the n elements) contains a.
+
+    Bit s of T[a] is bit a of s, so T[a] is 2^a zeros then 2^a ones,
+    repeated 2^(n-a-1) times: one block times the repunit of its width.
+    """
+    all_subsets = (1 << (1 << n)) - 1
+    tables = []
+    for a in range(n):
+        width = 1 << a
+        tables.append(all_subsets // ((1 << 2 * width) - 1) * (((1 << width) - 1) << width))
+    return tuple(tables)
+
+
+def _count_by_tables(lat: Lattice) -> int:
+    """Count by bit-parallel truth tables: every subset is tested at once.
+
+    A subset is not closed iff it holds an incomparable pair a < b but not
+    both join(a, b) and meet(a, b); comparable pairs are their own join and
+    meet.  With ``T = _truth_tables(n)``, the non-closed subsets are the OR
+    over those pairs of ``T[a] & T[b] & ~(T[join] & T[meet])``, and the
+    count is the number of the 2^n subsets left, the empty one included.
+    """
+    n = lat.n
+    tables = _truth_tables(n)
+    full = lat.full_mask
+    unclosed = 0
+    for a in range(n):
+        jrow, mrow = lat.join_table[a], lat.meet_table[a]
+        holds_a = tables[a]
+        # the b > a incomparable to a: every element below a precedes it
+        for b in bit_indices(full & ~(lat.leq[a] | ((2 << a) - 1))):
+            unclosed |= holds_a & tables[b] & ~(tables[jrow[b]] & tables[mrow[b]])
+    return (1 << n) - unclosed.bit_count()
+
+
+def _count_by_frontier(lat: Lattice) -> int:
     """Exact number of subuniverses, by one level-by-level frontier pass.
 
     The elements are decided in index order, a linear extension.  After
@@ -74,7 +136,6 @@ def count_subuniverses(lat: Lattice) -> int:
     2 states there, and glued sums cost no more than their blocks.  The
     top never blocks and joins to itself: a last-level state counts once
     with the top in, and once more when ``req`` does not force the top.
-    Agrees with count_subuniverses_naive everywhere both run.
     """
     n = lat.n
     meet_table = lat.meet_table

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Iterable, Iterator
 
 from latcensus.canon import canonical_form
@@ -278,6 +278,18 @@ def classify_by_canonical_form(lat: Lattice) -> tuple:
             if form == canonical_form(named(name)):
                 return tag, count, lo, n - 1 - hi, core
     return "Other", None, 0, 0, None
+
+
+def find_antichain_bruteforce(lat: Lattice, k: int) -> tuple[int, ...] | None:
+    """``structure.find_antichain`` as first written: the first k-subset of
+    the elements comparable to fewer than all, in ``combinations`` order,
+    whose members are pairwise incomparable."""
+    comparable = [lat.leq[i] | lat.geq[i] for i in range(lat.n)]
+    candidates = [i for i in range(lat.n) if comparable[i] != lat.full_mask]
+    for combo in combinations(candidates, k):
+        if all(not comparable[a] >> b & 1 for a, b in combinations(combo, 2)):
+            return combo
+    return None
 
 
 def con_count_by_closures(lat: Lattice) -> int:

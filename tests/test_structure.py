@@ -24,6 +24,7 @@ from latcensus.structure import (
 from latcensus.subuniverse import count_subuniverses
 from oracles import (
     classify_by_canonical_form,
+    find_antichain_bruteforce,
     isolated_characterization_holds,
     join_irreducibles,
     meet_irreducibles,
@@ -55,6 +56,21 @@ def test_find_antichain_examples():
 def test_find_antichain_is_lexicographically_first():
     lat = build_expression("C2+B4")  # incomparable pair sits at {2, 3}
     assert find_antichain(lat, 2) == (2, 3)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_find_antichain_equals_bruteforce_on_census_classes(census, n):
+    for rec in census(n):
+        lat = record_lattice(rec)
+        for k in (2, 3):
+            assert find_antichain(lat, k) == find_antichain_bruteforce(lat, k)
+
+
+@given(expr=lattice_expressions(max_size=16), seed=st.integers(0, 2**32 - 1))
+def test_find_antichain_equals_bruteforce_on_relabeled_expressions(expr, seed):
+    lat = random_relabeling(build_expression(expr), random.Random(seed))
+    for k in (2, 3):
+        assert find_antichain(lat, k) == find_antichain_bruteforce(lat, k)
 
 
 def test_irreducibles_convention():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latcensus.core import (
+    TABLE_LIMIT,
     IndexOutOfRange,
     NotALattice,
     SizeLimit,
@@ -24,6 +25,9 @@ from latcensus.core import (
     sublattice,
 )
 from latcensus.subuniverse import (
+    _count_by_frontier,
+    _count_by_tables,
+    _truth_tables,
     count_subuniverses,
     count_subuniverses_naive,
     enumerate_subuniverses,
@@ -33,6 +37,7 @@ from latcensus import subuniverse
 from latcensus.census import enumerate_lattices
 from oracles import (
     closure_bruteforce,
+    diamond,
     dual,
     glued_count_bruteforce,
     random_relabeling,
@@ -71,6 +76,47 @@ def test_fixture_counts_naive(expr, expected):
 @pytest.mark.parametrize("k", range(1, 13))
 def test_chain_counts_are_powers_of_two(k):
     assert count_subuniverses(chain(k)) == 2**k
+
+
+def _both_paths_equal_naive(lat):
+    expected = count_subuniverses_naive(lat)
+    assert _count_by_tables(lat) == expected
+    assert _count_by_frontier(lat) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_both_count_paths_equal_naive_on_census_classes(n):
+    for lat in enumerate_lattices(n):
+        _both_paths_equal_naive(lat)
+
+
+@given(lattice_expressions(max_size=12))
+def test_both_count_paths_equal_naive_on_expressions(expr):
+    _both_paths_equal_naive(build_expression(expr))
+
+
+@given(closure_lattices(max_n=12))
+def test_both_count_paths_equal_naive_on_closure_lattices(lat):
+    _both_paths_equal_naive(lat)
+
+
+def test_count_path_follows_the_size_alone(monkeypatch):
+    taken = []
+    monkeypatch.setattr(subuniverse, "_count_by_tables", lambda lat: taken.append(("tables", lat.n)))
+    monkeypatch.setattr(subuniverse, "_count_by_frontier", lambda lat: taken.append(("frontier", lat.n)))
+    for lat in (chain(12), diamond(10), chain(13), diamond(11)):
+        count_subuniverses(lat)
+    assert TABLE_LIMIT == 12
+    assert taken == [("tables", 12), ("tables", 12), ("frontier", 13), ("frontier", 13)]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_truth_tables_bit_by_bit(n):
+    tables = _truth_tables(n)
+    assert len(tables) == n
+    for a, table in enumerate(tables):
+        assert table >> (1 << n) == 0
+        assert all(table >> s & 1 == s >> a & 1 for s in range(1 << n))
 
 
 def test_is_subuniverse_examples():
