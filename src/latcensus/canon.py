@@ -13,6 +13,8 @@ list.  The search therefore visits each distinct arrangement of a class's
 twin groups once, with the members of a group in index order.  The minimum
 over this smaller family is the minimum over the whole family: the result
 is unchanged, and the diamond M_k (k atoms) costs one labeling, not k!.
+A class with one element, or with one twin group, has one arrangement and
+is placed once, outside the search.
 
 The relabeled pair (i, j) is compared as the integer 64*i + j, which keeps
 the byte order for the indices below 64 that occur here.
@@ -68,40 +70,56 @@ def canonical_form(lat: Lattice) -> bytes:
     n = lat.n
     check_size("canonical form", n, CANON_LIMIT)
     covers = lat.covers
-    lower: list[list[int]] = [[] for _ in range(n)]
-    upper: list[list[int]] = [[] for _ in range(n)]
+    lower = [0] * n  # masks of the lower and of the upper covers
+    upper = [0] * n
     height = [0] * n
+    degrees = [0] * n  # (#lower << 6 | #upper) << 6
     for i, j in covers:  # sorted by i, and i < j, so heights settle in order
-        lower[j].append(i)
-        upper[i].append(j)
+        lower[j] |= 1 << i
+        upper[i] |= 1 << j
+        degrees[j] += 4096
+        degrees[i] += 64
         if height[j] <= height[i]:
             height[j] = height[i] + 1
 
-    classes: dict[tuple, dict[tuple, list[int]]] = {}
-    for x in range(n):
-        key = (height[x], len(lower[x]), len(upper[x]))
-        twins = (tuple(lower[x]), tuple(upper[x]))
-        classes.setdefault(key, {}).setdefault(twins, []).append(x)
-    per_class = [
-        list(_arrangements(list(classes[key].values()))) for key in sorted(classes)
-    ]
+    # the key (height, #lower, #upper) and the index, 6 bits a field, sorted
+    # once: a run of equal keys is one class, placed at the run's positions
+    order = sorted([height[x] << 18 | degrees[x] | x for x in range(n)])
+    pos = [0] * n
+    choices = []  # (first position, arrangements) of the classes with a choice
+    start = 0
+    while start < n:
+        key = order[start] >> 6
+        end = start + 1
+        while end < n and order[end] >> 6 == key:
+            end += 1
+        if end - start == 1:
+            pos[order[start] & 63] = start
+        else:
+            members = [packed & 63 for packed in order[start:end]]
+            groups: dict[tuple[int, int], list[int]] = {}
+            for x in members:  # twins: same lower and same upper covers
+                groups.setdefault((lower[x], upper[x]), []).append(x)
+            if len(groups) > 1:
+                choices.append((start, list(_arrangements(list(groups.values())))))
+            else:
+                for idx, x in enumerate(members, start):
+                    pos[x] = idx
+        start = end
 
     best: list[int] | None = None
-    pos = [0] * n
-    for combo in product(*per_class):
-        idx = 0
-        for cls in combo:
-            for x in cls:
+    for combo in product(*[arrangements for _, arrangements in choices]):
+        for (first, _), cls in zip(choices, combo):
+            for idx, x in enumerate(cls, first):
                 pos[x] = idx
-                idx += 1
         codes = [pos[i] << 6 | pos[j] for i, j in covers]
         codes.sort()
         if best is None or codes < best:
             best = codes
     assert best is not None
-    blob = bytearray([n])
+    blob = [n]
     for c in best:
-        blob += bytes((c >> 6, c & 63))
+        blob += (c >> 6, c & 63)
     return bytes(blob)
 
 

@@ -28,7 +28,6 @@ line; the verdicts over these records live in ``verify``.
 
 from __future__ import annotations
 
-import json
 import os
 from functools import lru_cache, partial
 from typing import Iterator, NamedTuple, Optional
@@ -66,9 +65,12 @@ def _augmentations(parent: Lattice) -> Iterator[Child]:
     new element is a coatom of the child, and deleting a coatom always
     leaves a lattice, so every class has a child made by inserting its
     coatom of largest key (down-set size, number of lower covers): a child
-    in which some other coatom has a strictly larger key is dropped.
-    Swapping two twins of the parent (same lower and same upper covers) is
-    an automorphism, so D is kept only when it meets each twin group in a
+    in which some other coatom has a strictly larger key is dropped.  That
+    test comes first, against the largest-key coatom outside D, and on the
+    down-set sizes alone before D's maximal elements are listed; the
+    greatest-lower-bound condition is tested on what is left.  Swapping two
+    twins of the parent (same lower and same upper covers) is an
+    automorphism, so D is kept only when it meets each twin group in a
     prefix of the group's index order.
     """
     m = parent.n
@@ -87,6 +89,8 @@ def _augmentations(parent: Lattice) -> Iterator[Child]:
         for y in range(body)
         if leq[y] & body_mask == 1 << y
     ]
+    # largest key first: the first one outside D has the largest key there
+    ranked = sorted(coatoms, key=lambda coatom: coatom[1], reverse=True)
 
     # down-sets of the body that contain the bottom, built in index order:
     # x may join once everything below it, and its previous twin, is in
@@ -101,26 +105,24 @@ def _augmentations(parent: Lattice) -> Iterator[Child]:
         down_sets += [d | 1 << x for d in down_sets if d & need == need]
 
     for d_mask in down_sets:
-        maximal = [d for d in bit_indices(d_mask) if leq[d] & d_mask == 1 << d]
-        key = (d_mask.bit_count() + 1, len(maximal))
-        if any(other > key for y, other in coatoms if not d_mask >> y & 1):
+        size = d_mask.bit_count() + 1
+        # (0, 0), below every key, when D holds every coatom
+        rival = next((key for y, key in ranked if not d_mask >> y & 1), (0, 0))
+        if rival[0] > size:
+            continue  # a coatom outside D has a larger down-set
+        maximal = [(d, body) for d in bit_indices(d_mask) if leq[d] & d_mask == 1 << d]
+        if rival > (size, len(maximal)):
             continue  # another coatom of the child has a larger key
-        ok = True
-        for a in range(body):
-            if d_mask >> a & 1:
-                continue
+        for a in bit_indices(body_mask & ~d_mask):
             below = d_mask & geq[a]
-            top_of = below.bit_length() - 1
-            if below & ~geq[top_of]:
-                ok = False  # no greatest element under a inside D
-                break
-        if not ok:
-            continue
-        pairs = inner_covers + [(d, body) for d in maximal]
-        pairs += [(y, m) for y, _ in coatoms if not d_mask >> y & 1]
-        pairs.append((body, m))
-        pairs.sort()  # canonical_form's height pass needs them ordered by i
-        yield Child(m + 1, tuple(pairs))
+            if below & ~geq[below.bit_length() - 1]:
+                break  # D has no greatest element under a
+        else:
+            pairs = inner_covers + maximal
+            pairs += [(y, m) for y, _ in coatoms if not d_mask >> y & 1]
+            pairs.append((body, m))
+            pairs.sort()  # canonical_form's height pass needs them ordered by i
+            yield Child(m + 1, tuple(pairs))
 
 
 @lru_cache(maxsize=None)
@@ -163,21 +165,17 @@ class CensusRecord(NamedTuple):
     has_antichain3: bool
     con_count: Optional[int] = None
 
-    def to_json_dict(self) -> dict:
-        d: dict = {
-            "n": self.n,
-            "canon": self.canon,
-            "covers": [list(c) for c in self.covers],
-            "sub_count": self.sub_count,
-        }
-        if self.con_count is not None:
-            d["con_count"] = self.con_count
-        d["class"] = self.classification
-        d["antichain3"] = self.has_antichain3
-        return d
-
     def to_json_line(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+        """The record as one compact JSON object: the keys in this order,
+        ``con_count`` only when counted.  Every field is an int, a bool, a
+        hex string or a fixed shape tag, so nothing needs escaping."""
+        covers = ",".join([f"[{i},{j}]" for i, j in self.covers])
+        con = "" if self.con_count is None else f',"con_count":{self.con_count}'
+        return (
+            f'{{"n":{self.n},"canon":"{self.canon}","covers":[{covers}],'
+            f'"sub_count":{self.sub_count}{con},"class":"{self.classification}",'
+            f'"antichain3":{"true" if self.has_antichain3 else "false"}}}'
+        )
 
 
 def _analyze(form: bytes, with_con: bool = False) -> CensusRecord:

@@ -14,8 +14,11 @@ transitive closure of Day's dependency relation: p D q iff p != q and some
 x has p <= q v x but not p <= q_* v x (Freese, Jezek & Nation, "Free
 Lattices", AMS 1995, ch. 2; Freese, "Computing congruences efficiently",
 Algebra Universalis 59, 2008).  So |Con(L)| is the number of subsets of J
-closed under "q in S and p D q imply p in S".  One pass over the join table
-per q in J finds D; no congruence is closed.  ``principal_congruence`` and
+closed under "q in S and p D q imply p in S".  J and each q_* are read off
+the ``geq`` rows, and one pass over the elements incomparable to q finds
+the p with p D q; no congruence is closed.  The closed subsets are counted
+on truth tables over J, or by a memoized split when J is large.
+``principal_congruence`` and
 ``join_irreducible_congruences`` close congruences by substitution and
 return them as block tuples; the tests use them as an independent oracle.
 """
@@ -24,7 +27,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .core import COUNT_LIMIT, NAIVE_LIMIT, Lattice, bit_indices, check_size
+from .core import COUNT_LIMIT, NAIVE_LIMIT, TABLE_LIMIT, Lattice, bit_indices, check_size
+from .core import truth_tables
 
 
 def _respects_operations(lat: Lattice, cls: Sequence[int]) -> bool:
@@ -108,36 +112,78 @@ def _count_down_sets(up_masks: list[int], down_masks: list[int]) -> int:
     return rec((1 << len(up_masks)) - 1)
 
 
-def _dependency_down_masks(lat: Lattice) -> list[int]:
+def _dependency_rows(lat: Lattice) -> list[int]:
     """For each join-irreducible q, in index order, the join-irreducibles p
-    with p D* q, as bitmasks over the positions in that order."""
-    join, geq, lower = lat.join_table, lat.geq, lat.lower_covers
-    ji = [q for q in range(lat.n) if len(lower[q]) == 1]
+    with p D q or p = q, as bitmasks over the positions in that order.
+    q is in J iff the rest of ``geq[q]`` has a greatest element, q_*: by the
+    linear extension, the last index s there, if ``geq[s]`` is that rest.
+    Only an x incomparable to q can show p D q with p != q."""
+    join, leq, geq, n = lat.join_table, lat.leq, lat.geq, lat.n
+    pos = [0] * n  # bit of each join-irreducible's position, 0 elsewhere
+    ji = []
+    for q in range(1, n):
+        rest = geq[q] ^ 1 << q
+        s = rest.bit_length() - 1
+        if geq[s] == rest:
+            pos[q] = 1 << len(ji)
+            ji.append((q, s))
     rows = []
-    for q in ji:
-        q_join, q_star_join = join[q], join[lower[q][0]]
-        below = 0  # x = 0 puts q itself in, so the rows come out reflexive
-        for x in range(lat.n):
-            below |= geq[q_join[x]] & ~geq[q_star_join[x]]
-        rows.append(sum(1 << k for k, p in enumerate(ji) if below >> p & 1))
-    for k in range(len(rows)):  # Warshall's transitive closure
-        bit = 1 << k
-        for a, row in enumerate(rows):
-            if row & bit:
-                rows[a] = row | rows[k]
+    for q, s in ji:
+        q_join, qs_join = join[q], join[s]
+        below = 0
+        for x in bit_indices(~(leq[q] | geq[q]) & (1 << n) - 1):
+            below |= geq[q_join[x]] & ~geq[qs_join[x]]
+        row = pos[q]
+        while below:  # inline: a bit_indices generator per row costs more here
+            low = below & -below
+            below ^= low
+            row |= pos[low.bit_length() - 1]
+        rows.append(row)
     return rows
 
 
-def count_congruences(lat: Lattice) -> int:
-    """|Con(L)| as the number of down-sets of the dependency preorder on the
-    join-irreducibles."""
-    check_size("congruence count", lat.n, COUNT_LIMIT)
-    down = _dependency_down_masks(lat)
+def _count_by_tables(rows: list[int]) -> int:
+    """Number of subsets of J closed under D, all tested at once on
+    ``T = core.truth_tables(|J|)``: the ones not closed are the OR over q of
+    ``T[q] & ~(T[p] & T[p'] & ...)`` over row q.  A subset closed under D
+    is closed under D*, so no transitive closure is taken."""
+    tables = truth_tables(len(rows))
+    unclosed = 0
+    for q, row in enumerate(rows):
+        holds_row = -1
+        while row:
+            low = row & -row
+            row ^= low
+            holds_row &= tables[low.bit_length() - 1]
+        unclosed |= tables[q] & ~holds_row
+    return (1 << len(rows)) - unclosed.bit_count()
+
+
+def _count_by_memo(rows: list[int]) -> int:
+    """Number of subsets of J closed under D*, by Warshall's closure of the
+    rows and ``_count_down_sets``."""
+    down = list(rows)
+    for k in range(len(down)):  # Warshall's transitive closure
+        bit = 1 << k
+        for a, row in enumerate(down):
+            if row & bit:
+                down[a] = row | down[k]
     up = [0] * len(down)
     for q, row in enumerate(down):
         for p in bit_indices(row):
             up[p] |= 1 << q
     return _count_down_sets(up, down)
+
+
+def count_congruences(lat: Lattice) -> int:
+    """|Con(L)| as the number of down-sets of the dependency preorder on the
+    join-irreducibles J: on truth tables up to ``core.TABLE_LIMIT`` of them,
+    by the memoized split above; the choice follows |J| alone."""
+    check_size("congruence count", lat.n, COUNT_LIMIT)
+    rows = _dependency_rows(lat)
+    if len(rows) <= TABLE_LIMIT:
+        return _count_by_tables(rows)
+    return _count_by_memo(rows)
 
 
 def _set_partitions(n: int) -> Iterator[list[int]]:

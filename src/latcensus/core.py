@@ -24,12 +24,12 @@ MAX_ELEMENTS = 63  # any lattice: 2^n subuniverses fit an unsigned 64-bit range
 GEN_LIMIT = 9  # census generation and every verdict over it: n = 10 takes seconds
 CANON_LIMIT = 12  # canonical form: each twin-group arrangement per (height, covers) class
 ENUM_LIMIT = 20  # enumeration, naive scan: up to 2^n subsets each
-COUNT_LIMIT = 20  # congruence count: memoized down-sets of up to n - 1 join-irreducibles
+COUNT_LIMIT = 20  # congruence count: down-sets of up to n - 1 join-irreducibles
 NAIVE_LIMIT = 8  # naive congruence oracle: Bell(8) = 4140 partitions
-# subuniverse count by 2^n-bit truth tables up to here, by the frontier pass
-# above: each element added doubles the tables' work, and the widest
-# lattices gain least (M_10, n = 12: 2.4x faster; M_11, n = 13: 1.2x;
-# M_12, n = 14: 0.9x, so slower)
+# 2^k-bit truth tables up to k = TABLE_LIMIT, k the elements of a subuniverse
+# count or the join-irreducibles of a congruence count; above it the frontier
+# pass and the down-set memo.  Each k doubles the work: subuniverses of M_10
+# (n = 12) 2.4x faster, M_12 (n = 14) 0.9x; congruences of M_12 1.3x, M_14 0.8x
 TABLE_LIMIT = 12
 
 
@@ -78,6 +78,22 @@ def bit_indices(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+@lru_cache(maxsize=None)
+def truth_tables(n: int) -> tuple[int, ...]:
+    """``T[a]`` for a in 0..n-1: the 2^n-bit int whose bit s is set iff
+    subset s (a mask over n variables) contains a.
+
+    Bit s of T[a] is bit a of s, so T[a] is 2^a zeros then 2^a ones,
+    repeated 2^(n-a-1) times: one block times the repunit of its width.
+    """
+    all_subsets = (1 << (1 << n)) - 1
+    tables = []
+    for a in range(n):
+        width = 1 << a
+        tables.append(all_subsets // ((1 << 2 * width) - 1) * (((1 << width) - 1) << width))
+    return tuple(tables)
 
 
 def mask_of(indices: Iterable[int]) -> int:

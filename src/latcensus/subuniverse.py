@@ -39,7 +39,6 @@ bucketing by size and reading each bucket backwards gives the output order.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Iterator, Union
 
 from .core import (
@@ -49,6 +48,7 @@ from .core import (
     bit_indices,
     check_size,
     member_mask,
+    truth_tables,
     unclosed_pair,
 )
 
@@ -74,33 +74,17 @@ def count_subuniverses(lat: Lattice) -> int:
     return _count_by_frontier(lat)
 
 
-@lru_cache(maxsize=None)
-def _truth_tables(n: int) -> tuple[int, ...]:
-    """``T[a]`` for a in 0..n-1: the 2^n-bit int whose bit s is set iff
-    subset s (a mask over the n elements) contains a.
-
-    Bit s of T[a] is bit a of s, so T[a] is 2^a zeros then 2^a ones,
-    repeated 2^(n-a-1) times: one block times the repunit of its width.
-    """
-    all_subsets = (1 << (1 << n)) - 1
-    tables = []
-    for a in range(n):
-        width = 1 << a
-        tables.append(all_subsets // ((1 << 2 * width) - 1) * (((1 << width) - 1) << width))
-    return tuple(tables)
-
-
 def _count_by_tables(lat: Lattice) -> int:
     """Count by bit-parallel truth tables: every subset is tested at once.
 
     A subset is not closed iff it holds an incomparable pair a < b but not
     both join(a, b) and meet(a, b); comparable pairs are their own join and
-    meet.  With ``T = _truth_tables(n)``, the non-closed subsets are the OR
+    meet.  With ``T = core.truth_tables(n)``, the non-closed subsets are the OR
     over those pairs of ``T[a] & T[b] & ~(T[join] & T[meet])``, and the
     count is the number of the 2^n subsets left, the empty one included.
     """
     n = lat.n
-    tables = _truth_tables(n)
+    tables = truth_tables(n)
     full = lat.full_mask
     unclosed = 0
     for a in range(n):

@@ -98,6 +98,22 @@ def record_from_json_line(line: str) -> CensusRecord:
                         d["antichain3"], d.get("con_count"))
 
 
+def json_line_by_dumps(rec: CensusRecord) -> str:
+    """The census JSONL line as ``json.dumps`` writes the record's fields:
+    compact separators, ``con_count`` only when counted."""
+    d: dict = {
+        "n": rec.n,
+        "canon": rec.canon,
+        "covers": [list(c) for c in rec.covers],
+        "sub_count": rec.sub_count,
+    }
+    if rec.con_count is not None:
+        d["con_count"] = rec.con_count
+    d["class"] = rec.classification
+    d["antichain3"] = rec.has_antichain3
+    return json.dumps(d, separators=(",", ":"))
+
+
 def record_lattice(rec: CensusRecord) -> Lattice:
     """The lattice a census record describes."""
     return from_covers(rec.n, rec.covers)

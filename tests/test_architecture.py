@@ -205,9 +205,9 @@ def test_congruence_counts_have_one_source():
 def test_enumeration_is_the_only_scan_over_subuniverses():
     """``enumerate_subuniverses`` visits each subuniverse by its nested
     ``rec``, the only recursion in subuniverse.py; no ``_scan`` remains,
-    neither ``count_subuniverses`` nor its truth-table and frontier paths
-    reach either, and no function in the package takes a callback on a
-    mask."""
+    neither ``count_subuniverses``, its truth-table and frontier paths, nor
+    ``core.truth_tables`` reach either, and no function in the package takes
+    a callback on a mask."""
     funcs = [
         node for path in sorted(PACKAGE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
@@ -222,8 +222,15 @@ def test_enumeration_is_the_only_scan_over_subuniverses():
     assert any(node is defs["rec"] for node in ast.walk(defs["enumerate_subuniverses"]))
     assert not {"_scan", "enumerate_subuniverses", "rec"} & calls["count_subuniverses"]
     assert {"_count_by_tables", "_count_by_frontier"} <= calls["count_subuniverses"]
-    for name in ("_count_by_tables", "_truth_tables", "_count_by_frontier"):
+    for name in ("_count_by_tables", "_count_by_frontier"):
         assert not {"_scan", "enumerate_subuniverses", "rec"} & calls[name], name
+    core = ast.parse((PACKAGE / "core.py").read_text(encoding="utf-8"))
+    (tables,) = [node for node in ast.walk(core)
+                 if isinstance(node, ast.FunctionDef) and node.name == "truth_tables"]
+    assert not {"_scan", "enumerate_subuniverses", "rec"} & {
+        node.func.id for node in ast.walk(tables)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
     callbacks = [
         f"{func.name}({arg.arg})" for func in funcs for arg in func.args.args + func.args.kwonlyargs
         if arg.annotation and ast.unparse(arg.annotation).strip("'\"").startswith("Callable[[int]")

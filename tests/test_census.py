@@ -39,6 +39,7 @@ from oracles import (
     canonical_form_bruteforce,
     diamond,
     dual,
+    json_line_by_dumps,
     lattice_class_forms_bruteforce,
     random_relabeling,
     record_from_json_line,
@@ -75,6 +76,22 @@ def test_canonical_form_matches_bruteforce_on_every_generation_child():
                 assert canonical_form(child) == canonical_form_bruteforce(lat)
                 checked += 1
     assert checked == 1501
+
+
+def test_generation_children_are_pinned():
+    """The 1501 children of the parents of sizes 1..8, in order, pinned by
+    the SHA-256 of their sizes and cover lists as the generator made them
+    before its rejections were reordered."""
+    children = [
+        (child.n, child.covers)
+        for n in range(1, 9)
+        for form in _census_classes(n)
+        for child in _augmentations(canonical_lattice(form))
+    ]
+    assert len(children) == 1501
+    assert hashlib.sha256(repr(children).encode()).hexdigest() == (
+        "1c3fa061adc113b878c75a506249425136fc12bf2e9a44d5d342afc99e0771c9"
+    )
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -345,6 +362,15 @@ def test_census_jsonl_roundtrip_and_key_order(census):
         assert line.startswith('{"n":6,"canon":"')
         assert record_from_json_line(line) == rec
     assert census_jsonl(census_records(6)) == text  # rerun is byte-identical
+
+
+@pytest.mark.parametrize("n", range(1, GEN_LIMIT + 1))
+def test_json_lines_equal_json_dumps(census, n):
+    """Every census line, with and without ``con_count``, is the line
+    ``json.dumps`` writes for the same record."""
+    for with_con in (False, True):
+        for rec in census(n, with_con):
+            assert rec.to_json_line() == json_line_by_dumps(rec)
 
 
 def test_census_records_classification_consistency(census):

@@ -470,6 +470,7 @@ def test_help_reads_the_size_limits(capsys, monkeypatch, argv, text):
 @pytest.mark.parametrize("n,digest", [
     (7, "49f954db50d4e9f10abc6f91caeb5668a77022a146360ac59faa504440b2819b"),
     (8, "9e3ba2bb500e65007cef119c569a83f111087d9e6bbb80cc577362b3d3ddfce4"),
+    (9, "4c747cac454a3e0393fe4849f2da733e90b6bfd7bce9e72a477019f18bc401c9"),
 ])
 def test_census_with_con_bytes_are_pinned(capsys, n, digest):
     code, out, _ = run(capsys, "census", "--size", str(n), "--with-con")

@@ -5,6 +5,9 @@ import latcensus.congruence as con_mod
 from latcensus.canon import canonical_form
 from latcensus.census import enumerate_lattices
 from latcensus.congruence import (
+    _count_by_memo,
+    _count_by_tables,
+    _dependency_rows,
     count_congruences,
     count_congruences_naive,
     is_congruence,
@@ -12,7 +15,9 @@ from latcensus.congruence import (
     principal_congruence,
 )
 from latcensus.core import (
+    COUNT_LIMIT,
     NAIVE_LIMIT,
+    TABLE_LIMIT,
     IndexOutOfRange,
     SizeLimit,
     build_expression,
@@ -91,23 +96,57 @@ def test_downset_count_matches_naive_named(name):
     assert count_congruences(lat) == count_congruences_naive(lat)
 
 
+def _both_paths_count(lat, expected):
+    """The truth-table and the memo path each give ``expected``, whatever
+    the number of join-irreducibles."""
+    rows = _dependency_rows(lat)
+    assert _count_by_tables(rows) == expected
+    assert _count_by_memo(rows) == expected
+
+
 @pytest.mark.parametrize("n", range(1, NAIVE_LIMIT + 1))
 def test_downset_count_matches_naive_census(census, n):
     for rec in census(n):
         lat = record_lattice(rec)
-        assert count_congruences(lat) == count_congruences_naive(lat)
+        expected = count_congruences_naive(lat)
+        assert count_congruences(lat) == expected
+        _both_paths_count(lat, expected)
 
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_count_matches_closure_oracle_on_census(n):
     for lat in enumerate_lattices(n):
-        assert count_congruences(lat) == con_count_by_closures(lat)
+        expected = con_count_by_closures(lat)
+        assert count_congruences(lat) == expected
+        _both_paths_count(lat, expected)
 
 
 @pytest.mark.parametrize("k", range(3, 19))
 def test_count_matches_closure_oracle_on_diamonds(k):
     lat = diamond(k)
     assert count_congruences(lat) == con_count_by_closures(lat) == 2  # simple
+    if k >= 10:  # |J| = k crosses TABLE_LIMIT
+        _both_paths_count(lat, 2)
+
+
+def test_congruence_count_path_follows_the_join_irreducibles_alone(monkeypatch):
+    taken = []
+    monkeypatch.setattr(con_mod, "_count_by_tables", lambda rows: taken.append(("tables", len(rows))))
+    monkeypatch.setattr(con_mod, "_count_by_memo", lambda rows: taken.append(("memo", len(rows))))
+    for lat in (chain(13), diamond(12), chain(14), diamond(13)):
+        count_congruences(lat)
+    assert TABLE_LIMIT == 12
+    assert taken == [("tables", 12), ("tables", 12), ("memo", 13), ("memo", 13)]
+
+
+def test_dependency_rows_by_hand():
+    """N5 = 0 < a < c < 1, 0 < b < 1 (a, b, c at indices 1, 2, 3) has J =
+    {a, b, c}.  Collapsing 0 < a or 0 < b collapses a < c, so c D a and
+    c D b; collapsing a < c collapses nothing else."""
+    assert _dependency_rows(named("N5")) == [0b101, 0b110, 0b100]
+    assert _dependency_rows(chain(4)) == [0b001, 0b010, 0b100]
+    assert _dependency_rows(named("M3")) == [0b111, 0b111, 0b111]
+    assert _dependency_rows(chain(1)) == []
 
 
 PRODUCT_FACTORS = ["C2", "C3", "C4", "C5", "B4", "N5", "M3", "N5+C2", "C2+M3"]
@@ -194,7 +233,15 @@ def test_with_con_counts_serialization(census):
     ) < line.index('"class"')
 
 
-@given(closure_lattices(max_n=20))
+@given(closure_lattices(max_n=COUNT_LIMIT))
 def test_count_matches_oracles_on_closure_lattices(lat):
     oracle = count_congruences_naive if lat.n <= NAIVE_LIMIT else con_count_by_closures
-    assert count_congruences(lat) == oracle(lat)
+    expected = oracle(lat)
+    assert count_congruences(lat) == expected
+    _both_paths_count(lat, expected)
+
+
+@given(lattice_expressions(max_size=COUNT_LIMIT))
+def test_both_congruence_paths_match_closure_oracle_on_expressions(expr):
+    lat = build_expression(expr)
+    _both_paths_count(lat, con_count_by_closures(lat))

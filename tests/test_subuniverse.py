@@ -23,11 +23,11 @@ from latcensus.core import (
     mask_of,
     named,
     sublattice,
+    truth_tables,
 )
 from latcensus.subuniverse import (
     _count_by_frontier,
     _count_by_tables,
-    _truth_tables,
     count_subuniverses,
     count_subuniverses_naive,
     enumerate_subuniverses,
@@ -112,7 +112,7 @@ def test_count_path_follows_the_size_alone(monkeypatch):
 
 @pytest.mark.parametrize("n", range(7))
 def test_truth_tables_bit_by_bit(n):
-    tables = _truth_tables(n)
+    tables = truth_tables(n)
     assert len(tables) == n
     for a, table in enumerate(tables):
         assert table >> (1 << n) == 0
