@@ -7,7 +7,8 @@ and the lexicographically smallest serialized cover list over the family is a
 complete isomorphism invariant.
 
 Twins, elements with the same lower covers and the same upper covers, share
-a key.  Swapping two twins maps the cover relation onto itself, so any two
+a key, and are grouped by their pair of ``core.cover_masks`` bitmasks.
+Swapping two twins maps the cover relation onto itself, so any two
 labelings that differ only in how twins are ordered give the same cover
 list.  The search therefore visits each distinct arrangement of a class's
 twin groups once, with the members of a group in index order.  The minimum
@@ -25,15 +26,13 @@ from __future__ import annotations
 from itertools import permutations, product
 from typing import Iterator
 
-from .core import CANON_LIMIT, Lattice, LatticeError, check_size, from_covers
+from .core import CANON_LIMIT, Lattice, LatticeError, check_size, cover_masks, from_covers
 
 
 def _arrangements(groups: list[list[int]]) -> Iterator[list[int]]:
-    """Distinct orders of the members of ``groups`` in which every group
-    keeps its own index order, i.e. the permutations of a multiset."""
-    if len(groups) == 1:
-        yield groups[0]
-        return
+    """Distinct orders of the members of two or more ``groups`` in which
+    every group keeps its own index order, i.e. the permutations of a
+    multiset."""
     if all(len(g) == 1 for g in groups):  # the common case, left to C code
         yield from map(list, permutations(g[0] for g in groups))
         return
@@ -70,21 +69,18 @@ def canonical_form(lat: Lattice) -> bytes:
     n = lat.n
     check_size("canonical form", n, CANON_LIMIT)
     covers = lat.covers
-    lower = [0] * n  # masks of the lower and of the upper covers
-    upper = [0] * n
+    lower, upper = cover_masks(n, covers)
     height = [0] * n
-    degrees = [0] * n  # (#lower << 6 | #upper) << 6
     for i, j in covers:  # sorted by i, and i < j, so heights settle in order
-        lower[j] |= 1 << i
-        upper[i] |= 1 << j
-        degrees[j] += 4096
-        degrees[i] += 64
         if height[j] <= height[i]:
             height[j] = height[i] + 1
 
     # the key (height, #lower, #upper) and the index, 6 bits a field, sorted
     # once: a run of equal keys is one class, placed at the run's positions
-    order = sorted([height[x] << 18 | degrees[x] | x for x in range(n)])
+    order = sorted([
+        height[x] << 18 | lower[x].bit_count() << 12 | upper[x].bit_count() << 6 | x
+        for x in range(n)
+    ])
     pos = [0] * n
     choices = []  # (first position, arrangements) of the classes with a choice
     start = 0

@@ -34,7 +34,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .canon import canonical_form, canonical_lattice
 from .congruence import count_congruences
-from .core import GEN_LIMIT, Lattice, SizeTooSmall, bit_indices, check_size
+from .core import GEN_LIMIT, Lattice, SizeTooSmall, bit_indices, check_size, cover_masks
 from .structure import classify, find_antichain
 from .subuniverse import count_subuniverses
 
@@ -71,7 +71,8 @@ def _augmentations(parent: Lattice) -> Iterator[Child]:
     greatest-lower-bound condition is tested on what is left.  Swapping two
     twins of the parent (same lower and same upper covers) is an
     automorphism, so D is kept only when it meets each twin group in a
-    prefix of the group's index order.
+    prefix of the group's index order.  Twins are keyed by their pair of
+    ``core.cover_masks`` bitmasks, the pair ``canonical_form`` groups by.
     """
     m = parent.n
     if m == 1:
@@ -81,11 +82,10 @@ def _augmentations(parent: Lattice) -> Iterator[Child]:
     body_mask = (1 << body) - 1
     leq = parent.leq
     geq = parent.geq
-    lower = parent.lower_covers
-    upper = parent.upper_covers
+    lower, upper = cover_masks(m, parent.covers)
     inner_covers = [(i, j) for i, j in parent.covers if j < body]
     coatoms = [  # the body-maximal y with their keys
-        (y, (geq[y].bit_count(), len(lower[y])))
+        (y, (geq[y].bit_count(), lower[y].bit_count()))
         for y in range(body)
         if leq[y] & body_mask == 1 << y
     ]

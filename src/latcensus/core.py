@@ -16,7 +16,7 @@ that subuniverse counts (at most 2^n) stay inside an unsigned 64-bit range.
 from __future__ import annotations
 
 import re
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 # Size limits: the largest n each operation accepts.
@@ -96,6 +96,18 @@ def truth_tables(n: int) -> tuple[int, ...]:
     return tuple(tables)
 
 
+def cover_masks(n: int, covers: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """Per-element cover bitmasks ``(lower, upper)``: bit i of ``lower[x]``
+    is set iff (i, x) is a cover pair, bit j of ``upper[x]`` iff (x, j) is.
+    Reads any exact cover list, such as ``lat.covers``."""
+    lower = [0] * n
+    upper = [0] * n
+    for i, j in covers:
+        lower[j] |= 1 << i
+        upper[i] |= 1 << j
+    return lower, upper
+
+
 def mask_of(indices: Iterable[int]) -> int:
     m = 0
     for i in indices:
@@ -118,28 +130,17 @@ class Lattice(_LatticeRows):
     ``leq[i]`` is the bitmask of the up-set of i and ``geq[i]`` that of its
     down-set (the transpose); ``join_table`` and ``meet_table`` are n rows of
     n precomputed indices; ``covers`` is the transitive reduction as a sorted
-    tuple of (lower, upper) pairs.  The six fields form a NamedTuple; this
-    subclass declares no ``__slots__``, so each instance has the
-    ``__dict__`` that the ``cached_property`` values are stored in.
+    tuple of (lower, upper) pairs.  An instance holds exactly these six
+    fields: the subclass declares ``__slots__ = ()``, so it has no
+    ``__dict__`` and caches nothing.  Per-element covers come from
+    ``cover_masks(lat.n, lat.covers)``.
     """
 
-    @cached_property
+    __slots__ = ()
+
+    @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    @cached_property
-    def upper_covers(self) -> tuple[tuple[int, ...], ...]:
-        ups: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.covers:
-            ups[i].append(j)
-        return tuple(tuple(u) for u in ups)
-
-    @cached_property
-    def lower_covers(self) -> tuple[tuple[int, ...], ...]:
-        downs: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.covers:
-            downs[j].append(i)
-        return tuple(tuple(d) for d in downs)
 
     def _check(self, a: int) -> None:
         if not 0 <= a < self.n:
@@ -327,15 +328,15 @@ def direct_product(left: Lattice, right: Lattice) -> Lattice:
     """
     n = left.n * right.n
     w = right.n
+    _, left_up = cover_masks(left.n, left.covers)
+    _, right_up = cover_masks(w, right.covers)
     pairs = []
     for i in range(left.n):
         base = i * w
-        for j in range(right.n):
+        for j in range(w):
             a = base + j
-            for j2 in right.upper_covers[j]:
-                pairs.append((a, base + j2))
-            for i2 in left.upper_covers[i]:
-                pairs.append((a, i2 * w + j))
+            pairs += [(a, base + j2) for j2 in bit_indices(right_up[j])]
+            pairs += [(a, i2 * w + j) for i2 in bit_indices(left_up[i])]
     return from_covers(n, pairs)
 
 
@@ -400,20 +401,9 @@ def chain(k: int) -> Lattice:
     return from_covers(k, ((i, i + 1) for i in range(k - 1)))
 
 
-def _boolean_cube() -> Lattice:
-    # 8 elements as bit-triples ordered by bit containment; integer order is
-    # already a linear extension.
-    pairs = []
-    for x in range(8):
-        for b in (1, 2, 4):
-            if not x & b:
-                pairs.append((x, x | b))
-    return from_covers(8, pairs)
-
-
 _FIXED_BUILDERS = {
-    "B4": lambda: from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)]),
-    "B8": _boolean_cube,
+    "B4": lambda: direct_product(chain(2), chain(2)),
+    "B8": lambda: direct_product(named("B4"), chain(2)),
     # pentagon: 0 < a < c < 1 on one side, 0 < b < 1 on the other
     "N5": lambda: from_covers(5, [(0, 1), (1, 3), (3, 4), (0, 2), (2, 4)]),
     "M3": lambda: from_covers(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]),

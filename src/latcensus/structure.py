@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .core import Lattice, bit_indices, glued_cuts, mask_of, sublattice
+from .core import Lattice, bit_indices, cover_masks, glued_cuts, mask_of, sublattice
 
 CHAIN = "Chain"
 GLUED_B4 = "GluedB4"
@@ -51,10 +51,9 @@ def find_antichain(lat: Lattice, k: int) -> Optional[tuple[int, ...]]:
 
 
 def doubly_irreducibles(lat: Lattice) -> tuple[int, ...]:
+    lower, upper = cover_masks(lat.n, lat.covers)
     return tuple(
-        u
-        for u in range(lat.n)
-        if len(lat.lower_covers[u]) <= 1 and len(lat.upper_covers[u]) <= 1
+        u for u in range(lat.n) if lower[u].bit_count() <= 1 and upper[u].bit_count() <= 1
     )
 
 

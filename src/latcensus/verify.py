@@ -90,8 +90,17 @@ def _check_size(n: int) -> None:
 def _checked_records(
     n: int, records: Optional[list[CensusRecord]], with_con: bool = False
 ) -> list[CensusRecord]:
+    """The census of n, or the given records once they are checked to be
+    records of n: a verdict on no records, or on another size, would pass."""
     _check_size(n)
-    return census_records(n, with_con=with_con) if records is None else records
+    if records is None:
+        return census_records(n, with_con=with_con)
+    if not records:
+        raise ValueError(f"no records to check at n = {n}")
+    for rec in records:
+        if rec.n != n:
+            raise ValueError(f"record {rec.canon} has n = {rec.n}, not {n}")
+    return records
 
 
 def _top_three(n: int) -> tuple[int, int, int]:

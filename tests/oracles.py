@@ -65,14 +65,32 @@ def dual(lat: Lattice) -> Lattice:
     return from_covers(n, [(n - 1 - j, n - 1 - i) for i, j in lat.covers])
 
 
+def lower_covers(lat: Lattice) -> list[list[int]]:
+    """``lower_covers(lat)[x]``: the elements x covers, in index order."""
+    below: list[list[int]] = [[] for _ in range(lat.n)]
+    for i, j in lat.covers:
+        below[j].append(i)
+    return below
+
+
+def upper_covers(lat: Lattice) -> list[list[int]]:
+    """``upper_covers(lat)[x]``: the elements covering x, in index order."""
+    above: list[list[int]] = [[] for _ in range(lat.n)]
+    for i, j in lat.covers:
+        above[i].append(j)
+    return above
+
+
 def join_irreducibles(lat: Lattice) -> tuple[int, ...]:
     """Elements with at most one lower cover; the bottom qualifies."""
-    return tuple(u for u in range(lat.n) if len(lat.lower_covers[u]) <= 1)
+    below = lower_covers(lat)
+    return tuple(u for u in range(lat.n) if len(below[u]) <= 1)
 
 
 def meet_irreducibles(lat: Lattice) -> tuple[int, ...]:
     """Elements with at most one upper cover; the top qualifies."""
-    return tuple(u for u in range(lat.n) if len(lat.upper_covers[u]) <= 1)
+    above = upper_covers(lat)
+    return tuple(u for u in range(lat.n) if len(above[u]) <= 1)
 
 
 def isolated_characterization_holds(lat: Lattice, u: int) -> bool:
@@ -252,7 +270,8 @@ def canonical_form_bruteforce(lat: Lattice) -> bytes:
     h = [0] * n  # the longest chain from the bottom to each element
     for i, j in lat.covers:  # sorted by i, so each h[i] is final when read
         h[j] = max(h[j], h[i] + 1)
-    key = [(h[x], len(lat.lower_covers[x]), len(lat.upper_covers[x])) for x in range(n)]
+    below, above = lower_covers(lat), upper_covers(lat)
+    key = [(h[x], len(below[x]), len(above[x])) for x in range(n)]
     classes: dict[tuple[int, int, int], list[int]] = {}
     for x in range(n):
         classes.setdefault(key[x], []).append(x)
@@ -350,7 +369,7 @@ def random_relabeling(lat: Lattice, rng: random.Random) -> Lattice:
     """Rebuild the lattice under a random linear-extension relabeling."""
     remaining = set(range(lat.n))
     new_index = {}
-    below = {x: set(lat.lower_covers[x]) for x in range(lat.n)}
+    below = [set(covered) for covered in lower_covers(lat)]
     k = 0
     while remaining:
         ready = sorted(x for x in remaining if not below[x] & remaining)

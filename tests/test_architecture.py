@@ -244,3 +244,94 @@ def test_structure_imports_from_core_only():
     siblings = {path.stem for path in PACKAGE.glob("*.py")} | {"latcensus"}
     imported = {name.lstrip(".").split(".")[0] for name in _imported_names("structure.py")}
     assert imported & siblings == {"core"}
+
+
+def _identifiers(tree):
+    """Every name a module imports, binds, reads or looks up as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name.rsplit(".", 1)[-1]
+
+
+def test_lattices_hold_their_six_rows_and_cache_nothing():
+    """No module imports ``cached_property`` or names ``lower_covers`` or
+    ``upper_covers``, and no built ``Lattice`` has a ``__dict__``."""
+    offenders = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _identifiers(ast.parse(path.read_text(encoding="utf-8")))
+        if name in ("cached_property", "lower_covers", "upper_covers")
+    ]
+    assert offenders == []
+    core = latcensus.core
+    built = [
+        core.named("B8"), core.chain(3), core.build_expression("(C2xC3)+N5"),
+        core.sublattice(core.named("B4"), 0b1011), latcensus.canonical_lattice(b"\x02\x00\x01"),
+    ]
+    for lat in built:
+        assert not hasattr(lat, "__dict__"), lat
+        assert len(lat) == len(core.Lattice._fields) == 6
+
+
+def _cover_derivations(func):
+    """Statements in a loop over a ``covers`` list that fill per-element
+    slots: an augmented assignment to a subscript, an assignment of a shift
+    to one, or an ``append`` on one."""
+    found = []
+    for loop in ast.walk(func):
+        if not isinstance(loop, ast.For) or not any(
+            isinstance(node, ast.Name) and node.id == "covers"
+            or isinstance(node, ast.Attribute) and node.attr == "covers"
+            for node in ast.walk(loop.iter)
+        ):
+            continue
+        for node in ast.walk(loop):
+            if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Subscript):
+                found.append(ast.unparse(node))
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Subscript) for target in node.targets
+            ) and any(
+                isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.LShift)
+                for sub in ast.walk(node.value)
+            ):
+                found.append(ast.unparse(node))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+                node.func.attr == "append" and isinstance(node.func.value, ast.Subscript)
+            ):
+                found.append(ast.unparse(node))
+    return found
+
+
+def _functions(module_file):
+    tree = ast.parse((PACKAGE / module_file).read_text(encoding="utf-8"))
+    return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def test_per_element_covers_come_from_cover_masks_only():
+    """``core.cover_masks`` is the one routine that turns cover pairs into
+    per-element covers: ``canon``, ``census``, ``structure`` and
+    ``core.direct_product`` call it and derive none of their own."""
+    core = _functions("core.py")
+    assert _cover_derivations(core["cover_masks"])  # the scan sees the one routine
+    scanned = {"core.py: direct_product": core["direct_product"]}
+    for module_file in ("canon.py", "census.py", "structure.py"):
+        scanned.update(
+            (f"{module_file}: {name}", func) for name, func in _functions(module_file).items()
+        )
+    offenders = {name: found for name, func in scanned.items() if (found := _cover_derivations(func))}
+    assert offenders == {}
+    for name in (
+        "canon.py: canonical_form", "census.py: _augmentations",
+        "structure.py: doubly_irreducibles", "core.py: direct_product",
+    ):
+        calls = {
+            node.func.id for node in ast.walk(scanned[name])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert "cover_masks" in calls, name

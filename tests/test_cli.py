@@ -297,6 +297,18 @@ def test_census_with_con(capsys):
     assert {row["con_count"] for row in rows} == {8, 4}
 
 
+def test_census_table_is_pinned(capsys):
+    code, out, _ = run(capsys, "census", "--size", "5", "--with-con", "--format", "table")
+    assert code == 0
+    assert out == (
+        "05000100020003010402040304  sub=20 con=2  Other  3-antichain\n"
+        "0500010002010302030304  sub=26 con=8  GluedB4\n"
+        "0500010002010302040304  sub=23 con=5  GluedN5\n"
+        "0500010102010302040304  sub=26 con=8  GluedB4\n"
+        "050001010202030304  sub=32 con=16  Chain\n"
+    )
+
+
 @pytest.mark.parametrize("jobs", ["0", "-5", "two"])
 def test_census_refuses_jobs_that_are_not_a_positive_integer(capsys, jobs):
     with pytest.raises(SystemExit) as err:

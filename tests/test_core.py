@@ -23,6 +23,7 @@ from latcensus.core import (
     glued_cuts,
     glued_sum,
     named,
+    sublattice,
 )
 from latcensus.structure import classify, decompose_glued_sum
 from latcensus.verify import run_checks, spectrum
@@ -64,6 +65,13 @@ def test_from_covers_two_chain():
 
 def test_from_covers_b4_matches_named():
     assert from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)]) == named("B4")
+
+
+def test_from_covers_b8_matches_named():
+    """The cube: element x is a bit triple, covered by x with one more bit."""
+    pairs = [(x, x | b) for x in range(8) for b in (1, 2, 4) if not x & b]
+    assert named("B8").covers == tuple(sorted(pairs))
+    assert from_covers(8, pairs) == named("B8")
 
 
 @pytest.mark.parametrize("name", ["B4", "B8", "N5", "M3", "C2xC3", "C6"])
@@ -189,6 +197,15 @@ def test_index_out_of_range():
     for call in (b4.join, b4.meet, b4.le):
         with pytest.raises(IndexOutOfRange):
             call(0, 4)
+
+
+def test_empty_subset_and_empty_chain_are_refused():
+    with pytest.raises(NotALattice, match="^the empty subset induces no lattice$") as info:
+        sublattice(named("B4"), 0)
+    assert type(info.value) is NotALattice
+    with pytest.raises(UnknownName, match="^chain size must be >= 1, got 0$") as info:
+        chain(0)
+    assert type(info.value) is UnknownName
 
 
 def test_frozen_value():
