@@ -26,7 +26,7 @@ from __future__ import annotations
 from itertools import permutations, product
 from typing import Iterator
 
-from .core import CANON_LIMIT, Lattice, LatticeError, check_size, cover_masks, from_covers
+from .core import CANON_LIMIT, Lattice, NotALattice, check_size, cover_masks, from_covers
 
 
 def _arrangements(groups: list[list[int]]) -> Iterator[list[int]]:
@@ -123,12 +123,15 @@ def canonical_lattice(form: bytes) -> Lattice:
     """Rebuild the canonically labeled representative from its form.
 
     The validating ``from_covers`` builds it, and its covers must be exactly
-    the form's pairs: a list that is not a transitive reduction is refused.
+    the form's pairs: a list that is not a transitive reduction is refused,
+    and so is a form that is empty or ends inside a pair.
     """
+    if len(form) % 2 == 0:
+        raise NotALattice(f"form {form.hex()!r} is empty or ends inside a cover pair")
     n = form[0]
     body = form[1:]
     pairs = tuple((body[k], body[k + 1]) for k in range(0, len(body), 2))
     lat = from_covers(n, pairs)
     if lat.covers != pairs:
-        raise LatticeError(f"form {form.hex()} lists pairs that are not covers")
+        raise NotALattice(f"form {form.hex()} lists pairs that are not covers")
     return lat

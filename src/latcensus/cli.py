@@ -146,47 +146,46 @@ def cmd_con_count(args) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _member_text(sep: str) -> Callable[[int], str]:
-    """mask -> its members in increasing order, each written as sep + decimal.
+def _member_tables(sep: str) -> tuple[list[str], list[str], int]:
+    """(low, high, half): low[m & (1 << half) - 1] + high[m >> half] lists
+    mask m's members in increasing order, each written as sep + decimal.
 
-    Each byte of the mask picks one of 256 precomputed strings from its own
-    table, and (ENUM_LIMIT + 7) // 8 tables cover ENUM_LIMIT.  The tables
-    are built once per process and separator.
+    low covers the lowest half = (ENUM_LIMIT + 1) // 2 bits and high the
+    rest.  Each is built by doubling, adding member i's piece to a copy of
+    every entry, once per process and separator.
     """
-    low, *high = (
-        tuple("".join(f"{sep}{8 * k + i}" for i in range(8) if v >> i & 1) for v in range(256))
-        for k in range((ENUM_LIMIT + 7) // 8)
-    )
-
-    def text(m: int) -> str:
-        out = low[m & 255]
-        for table in high:
-            m >>= 8
-            out += table[m & 255]
-        return out
-
-    return text
+    half = (ENUM_LIMIT + 1) // 2
+    tables = []
+    for members in (range(half), range(half, ENUM_LIMIT)):
+        table = [""]
+        for i in members:
+            piece = f"{sep}{i}"
+            table += [s + piece for s in table]
+        tables.append(table)
+    return tables[0], tables[1], half
 
 
-def _enumerate_layout(fmt: str, n: int, count: int) -> tuple[str, Callable[[int], str], str, str]:
-    """(head, render, sep, tail): ``enumerate`` writes head, then
-    render(mask) for each subuniverse joined by sep, then tail.  These are
-    the bytes of json.dumps of the member lists: one list per line for
-    jsonl, one indent=2 payload for json."""
+def _enumerate_layout(
+    fmt: str, n: int, count: int
+) -> tuple[str, Callable[[list[int]], list[str]], str, str]:
+    """(head, render, sep, tail): ``enumerate`` writes head, then the texts
+    render(chunk) makes for each chunk of masks, all joined by sep, then
+    tail.  These are the bytes of json.dumps of the member lists: one list
+    per line for jsonl, one indent=2 payload for json."""
+    low, high, half = _member_tables({"json": ",\n      ", "jsonl": ", ", "table": " "}[fmt])
+    cut = (1 << half) - 1
     if fmt == "json":
-        members = _member_text(",\n      ")
-
-        def render(m: int) -> str:
-            text = members(m)
-            return f"    [{text[1:]}\n    ]" if text else "    []"
-
         head = f'{{\n  "n": {n},\n  "count": {count},\n  "subuniverses": [\n'
-        return head, render, ",\n", "\n  ]\n}\n"
+        return head, lambda ms: [
+            f"    [{(low[m & cut] + high[m >> half])[1:]}\n    ]" if m else "    []" for m in ms
+        ], ",\n", "\n  ]\n}\n"
     if fmt == "jsonl":
-        members = _member_text(", ")
-        return "", lambda m: f"[{members(m)[2:]}]", "\n", "\n"
-    members = _member_text(" ")
-    return "", lambda m: f"size {m.bit_count()}: {members(m)[1:] or '-'}", "\n", "\n"
+        return "", lambda ms: [
+            f"[{(low[m & cut] + high[m >> half])[2:]}]" for m in ms
+        ], "\n", "\n"
+    return "", lambda ms: [
+        f"size {m.bit_count()}: {(low[m & cut] + high[m >> half])[1:] or '-'}" for m in ms
+    ], "\n", "\n"
 
 
 def cmd_enumerate(args) -> int:
@@ -197,7 +196,7 @@ def cmd_enumerate(args) -> int:
     with _output(args.out) as fh:
         prefix = head
         for start in range(0, len(masks), ENUM_CHUNK):
-            fh.write(prefix + sep.join(map(render, masks[start : start + ENUM_CHUNK])))
+            fh.write(prefix + sep.join(render(masks[start : start + ENUM_CHUNK])))
             prefix = sep
         fh.write(tail)
     return 0

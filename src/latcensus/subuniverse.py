@@ -32,7 +32,11 @@ order, and no count goes through it.  Only the earlier elements
 incomparable to a new element can refuse it or force a join (one below it
 meets it in itself, already decided, and joins it in the new element), so a
 node costs one AND per distinct meet and one OR per distinct join with
-those, not one test per chosen element.  It needs no sort: the scan meets
+those, not one test per chosen element.  The top refuses nothing, so one
+leaf decides the last element below it and the top together: no call
+decides the top alone (C_1, with nothing below its top, is not scanned).
+The CLI renders each mask as two strings looked up by its low and high
+halves (``cli._member_tables``).  The scan needs no sort: it meets
 the subsets of each size in exactly the reverse of member-tuple order, so
 bucketing by size and reading each bucket backwards gives the output order.
 """
@@ -207,7 +211,10 @@ def enumerate_subuniverses(lat: Lattice) -> Iterator[int]:
     chosen, and joins it in e.  So they are grouped once by their meet and
     by their join with e: e is refused when a group holds a chosen element
     and its meet is not chosen, and a node costs one operation per distinct
-    meet or join, not per chosen element.  Each index is excluded before it
+    meet or join, not per chosen element.  The top's meet with a chosen
+    element is that element and its join is the top, so it is never
+    refused: the call that decides the last element below it also decides
+    the top, and is the scan's leaf.  Each index is excluded before it
     is included.  Two subsets of equal size first differ at the smallest
     index i of their symmetric difference: the one holding i comes first as
     a member tuple but is reached second by the scan.  So within one size
@@ -230,26 +237,34 @@ def enumerate_subuniverses(lat: Lattice) -> Iterator[int]:
             by_join[1 << jrow[c]] = by_join.get(1 << jrow[c], 0) | 1 << c
         meet_rules.append(list(by_meet.items()))
         join_rules.append(list(by_join.items()))
+    if not top:  # n = 1: no element below the top, nothing to scan
+        yield from (0, 1)
+        return
+    last, topbit = top - 1, 1 << top
     buckets: list[list[int]] = [[] for _ in range(lat.n + 1)]
 
     def rec(e: int, chosen: int, size: int, required: int) -> None:
         bit = 1 << e
-        if e == top:
-            # its meet with a chosen element is that element and its join
-            # is itself, so the top may always be added
-            if not required & bit:
-                buckets[size].append(chosen)
-            buckets[size + 1].append(chosen | bit)
-            return
         if not required & bit:
-            rec(e + 1, chosen, size, required)
+            if e < last:
+                rec(e + 1, chosen, size, required)
+            else:  # the leaf: the top may always be added
+                if not required & topbit:
+                    buckets[size].append(chosen)
+                buckets[size + 1].append(chosen | topbit)
         for m, group in meet_rules[e]:
             if chosen & group and not chosen & m:
                 return  # a meet fell outside: no extension includes e
         for j, group in join_rules[e]:
             if chosen & group:
                 required |= j
-        rec(e + 1, chosen | bit, size + 1, required)
+        chosen |= bit
+        if e < last:
+            rec(e + 1, chosen, size + 1, required)
+        else:
+            if not required & topbit:
+                buckets[size + 1].append(chosen)
+            buckets[size + 2].append(chosen | topbit)
 
     rec(0, 0, 0, 0)
     for bucket in buckets:

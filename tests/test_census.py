@@ -20,6 +20,7 @@ from latcensus.core import (
     GEN_LIMIT,
     Lattice,
     LatticeError,
+    NotALattice,
     SizeLimit,
     build_expression,
     chain,
@@ -220,6 +221,18 @@ def test_canonical_lattice_refuses_pairs_that_are_not_covers():
     form = bytes([3, 0, 1, 0, 2, 1, 2])  # (0, 2) is implied by 0 < 1 < 2
     with pytest.raises(LatticeError, match="not covers"):
         canonical_lattice(form)
+
+
+@pytest.mark.parametrize("form", [b"", b"\x02\x00", b"\x03\x00\x01\x01\x02\x00"])
+def test_canonical_lattice_refuses_forms_without_whole_pairs(form):
+    # empty, or a body of odd length: refused before any pair is read
+    with pytest.raises(LatticeError):
+        canonical_lattice(form)
+
+
+def test_canonical_lattice_refuses_zero_elements():
+    with pytest.raises(NotALattice, match="at least one element"):
+        canonical_lattice(b"\x00")
 
 
 @pytest.mark.parametrize(

@@ -225,18 +225,39 @@ def test_enumerate_file_bytes_are_pinned(tmp_path, fmt, digest):
 
 @pytest.mark.parametrize("limit", [8, 25])
 def test_enumerate_follows_any_enum_limit(monkeypatch, limit):
-    # the per-byte member tables are built from the limit, one per byte
+    # the two half-width member tables are built from the limit
     monkeypatch.setattr(cli_mod, "ENUM_LIMIT", limit)
-    cli_mod._member_text.cache_clear()
+    cli_mod._member_tables.cache_clear()
     try:
         for expr in ("C2xC4", "M3+B4"):  # 8 elements each
             lat = build_expression(expr)
             for fmt in ENUM_FORMATS:
                 text = _enumerate_text(["--expr", expr, "--format", fmt])
                 _assert_same_text(text, enumerate_output(lat, fmt), f"{expr} {fmt}")
-        assert cli_mod._member_text(" ")(1 | 1 << (limit - 1)) == f" 0 {limit - 1}"
+        low, high, half = cli_mod._member_tables(" ")
+        mask = 1 | 1 << (limit - 1)
+        assert low[mask & (1 << half) - 1] + high[mask >> half] == f" 0 {limit - 1}"
     finally:
-        cli_mod._member_text.cache_clear()
+        cli_mod._member_tables.cache_clear()
+
+
+# C1: the top is element 0, so the scan is skipped; C2: its one element
+# below the top is decided in the leaf; N5xC4 (20 elements, 3508
+# subuniverses): members on both sides of the member tables' split
+@pytest.mark.parametrize("expr", ["C1", "C2", "N5xC4"])
+def test_enumerate_bytes_match_oracle_on_leaf_and_split_cases(tmp_path, expr):
+    _assert_enumerate_matches_oracle(build_expression(expr), tmp_path / "l.json")
+
+
+def test_parser_builds_no_member_table():
+    # the member tables are built by the first enumerate, never at start-up
+    proc = _python(
+        "-c",
+        "import latcensus.cli as c; c.build_parser(); "
+        "print(c._member_tables.cache_info().currsize)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 class _WriteLog:
