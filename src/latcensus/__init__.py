@@ -9,13 +9,9 @@ or runs them.  Their public names are re-exported by the module
 ``__getattr__`` below and read from the module on each access.
 """
 
-import importlib.util
-import sys
-
 from .congruence import (
     count_congruences,
     count_congruences_naive,
-    is_congruence,
     join_irreducible_congruences,
     principal_congruence,
 )
@@ -68,7 +64,12 @@ def _lazy(name: str):
 
     The caller binds the result as a package attribute: ``from . import
     name`` then finds it without reading ``__spec__``, which would run it.
+    Its imports are its own, so that the package namespace holds only the
+    names that ``__all__`` lists.
     """
+    import importlib.util
+    import sys
+
     spec = importlib.util.find_spec(f"{__name__}.{name}")
     loader = importlib.util.LazyLoader(spec.loader)
     spec.loader = loader
@@ -106,20 +107,6 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_LAZY_NAMES})
 
 
-__all__ = [
-    "BadIndexOrder", "CHAIN", "CensusRecord", "Classification", "ExpressionError",
-    "GLUED_B4", "GLUED_N5", "GluedDecomposition", "IndexOutOfRange", "Lattice",
-    "LatticeError", "NotALattice", "OTHER", "SizeLimit", "SizeTooSmall", "SpectrumReport",
-    "UnknownName", "Verdict", "bit_indices", "build_expression", "canon",
-    "canonical_form", "canonical_lattice", "census", "census_jsonl",
-    "census_records", "chain", "classify", "congruence", "core", "count_congruences",
-    "count_congruences_naive", "count_subuniverses", "count_subuniverses_naive",
-    "decompose_glued_sum", "direct_product", "doubly_irreducibles",
-    "enumerate_lattices", "enumerate_subuniverses", "find_antichain", "from_covers",
-    "glued_cuts", "glued_sum", "is_chain", "is_congruence", "is_subuniverse",
-    "isolated_edges", "isolated_elements", "join_irreducible_congruences", "mask_of",
-    "named", "principal_congruence", "run_checks", "spectrum", "structure",
-    "sublattice", "subuniverse", "verify", "verify_antichain_bound",
-    "verify_congruence_spectrum", "verify_gap", "verify_top_three",
-]
+# every public name bound above, the submodules among them, and the lazy ones
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | _LAZY_NAMES.keys())
 __version__ = "0.1.0"

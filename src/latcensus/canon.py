@@ -23,39 +23,29 @@ the byte order for the indices below 64 that occur here.
 
 from __future__ import annotations
 
-from itertools import permutations, product
-from typing import Iterator
+from itertools import combinations, permutations, product
 
 from .core import CANON_LIMIT, Lattice, NotALattice, check_size, cover_masks, from_covers
 
 
-def _arrangements(groups: list[list[int]]) -> Iterator[list[int]]:
+def _arrangements(groups: list[list[int]]) -> list[list[int]]:
     """Distinct orders of the members of two or more ``groups`` in which
     every group keeps its own index order, i.e. the permutations of a
-    multiset."""
+    multiset.  From the last group back, each group is inserted into every
+    arrangement of the groups after it, at each combination of positions."""
     if all(len(g) == 1 for g in groups):  # the common case, left to C code
-        yield from map(list, permutations(g[0] for g in groups))
-        return
-    labels = sorted(g for g, members in enumerate(groups) for _ in members)
-    last = len(labels) - 1
-    while True:
-        taken = [0] * len(groups)
-        out = []
-        for g in labels:
-            out.append(groups[g][taken[g]])
-            taken[g] += 1
-        yield out
-        # step to the next label sequence in lexicographic order
-        i = last - 1
-        while i >= 0 and labels[i] >= labels[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = last
-        while labels[j] <= labels[i]:
-            j -= 1
-        labels[i], labels[j] = labels[j], labels[i]
-        labels[i + 1:] = labels[:i:-1]
+        return list(map(list, permutations(g[0] for g in groups)))
+    arrangements = [list(groups[-1])]
+    for members in reversed(groups[:-1]):
+        merged = []
+        for rest in arrangements:
+            for chosen in combinations(range(len(rest) + len(members)), len(members)):
+                out = rest[:]
+                for p, x in zip(chosen, members):  # ascending, so each lands at p
+                    out.insert(p, x)
+                merged.append(out)
+        arrangements = merged
+    return arrangements
 
 
 def canonical_form(lat: Lattice) -> bytes:
@@ -97,7 +87,7 @@ def canonical_form(lat: Lattice) -> bytes:
             for x in members:  # twins: same lower and same upper covers
                 groups.setdefault((lower[x], upper[x]), []).append(x)
             if len(groups) > 1:
-                choices.append((start, list(_arrangements(list(groups.values())))))
+                choices.append((start, _arrangements(list(groups.values()))))
             else:
                 for idx, x in enumerate(members, start):
                     pos[x] = idx

@@ -206,10 +206,10 @@ def cmd_classify(args) -> int:
     lat = _input_lattice(args)
     cls = structure.classify(lat)
     payload = {"n": lat.n, "class": cls.tag, "predicted_count": cls.predicted_count}
-    if cls.core is not None:
+    if cls.tag in (structure.GLUED_B4, structure.GLUED_N5):
         payload["chain_prefix"] = cls.prefix
         payload["chain_suffix"] = cls.suffix
-        payload["core_size"] = cls.core.n
+        payload["core_size"] = lat.n - cls.prefix - cls.suffix
     if cls.predicted_count is not None:
         norm = normalized_count(cls.predicted_count, lat.n)
         if norm:
@@ -306,35 +306,24 @@ def _parser(enum_limit: int, gen_limit: int) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", help="number of subuniverses of one lattice")
-    _add_input_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(fn=cmd_count)
-
-    p = sub.add_parser("con-count", help="number of congruences of one lattice")
-    _add_input_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(fn=cmd_con_count)
-
-    p = sub.add_parser("enumerate", help=f"list all subuniverses (n <= {enum_limit})")
-    _add_input_flags(p)
-    _add_output_flags(p, formats=("json", "jsonl", "table"))
-    p.set_defaults(fn=cmd_enumerate)
-
-    p = sub.add_parser("classify", help="match against the extremal-count shapes")
-    _add_input_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("info", help="structural facts about one lattice")
-    _add_input_flags(p)
-    _add_output_flags(p)
-    p.add_argument(
+    # the per-lattice commands: (name, help, output formats, handler)
+    for name, help_text, formats, fn in (
+        ("count", "number of subuniverses of one lattice", ("json", "table"), cmd_count),
+        ("con-count", "number of congruences of one lattice", ("json", "table"), cmd_con_count),
+        ("enumerate", f"list all subuniverses (n <= {enum_limit})", ("json", "jsonl", "table"),
+         cmd_enumerate),
+        ("classify", "match against the extremal-count shapes", ("json", "table"), cmd_classify),
+        ("info", "structural facts about one lattice", ("json", "table"), cmd_info),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_input_flags(p)
+        _add_output_flags(p, formats)
+        p.set_defaults(fn=fn)
+    p.add_argument(  # info's, the last in the table
         "--emit-json",
         action="store_true",
         help="print the lattice in the JSON file format and nothing else",
     )
-    p.set_defaults(fn=cmd_info)
 
     p = sub.add_parser("census", help="all isomorphism classes of a given size")
     p.add_argument("--size", type=int, required=True, help=f"lattice size, 1..{gen_limit}")

@@ -25,7 +25,7 @@ return them as block tuples; the tests use them as an independent oracle.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import COUNT_LIMIT, NAIVE_LIMIT, TABLE_LIMIT, Lattice, bit_indices, check_size
 from .core import truth_tables
@@ -44,17 +44,6 @@ def _respects_operations(lat: Lattice, cls: Sequence[int]) -> bool:
                 if cls[ja[z]] != cls[jb[z]] or cls[ma[z]] != cls[mb[z]]:
                     return False
     return True
-
-
-def is_congruence(lat: Lattice, blocks: Iterable[Iterable[int]]) -> bool:
-    """Check that ``blocks`` partition the elements and respect join and meet."""
-    cls = [-1] * lat.n
-    for k, block in enumerate(blocks):
-        for x in block:
-            if not 0 <= x < lat.n or cls[x] != -1:
-                return False
-            cls[x] = k
-    return -1 not in cls and _respects_operations(lat, cls)
 
 
 def principal_congruence(lat: Lattice, a: int, b: int) -> tuple[tuple[int, ...], ...]:

@@ -115,28 +115,23 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
-class _LatticeRows(NamedTuple):
-    n: int
-    leq: tuple[int, ...]
-    geq: tuple[int, ...]
-    join_table: tuple[bytes, ...]
-    meet_table: tuple[bytes, ...]
-    covers: tuple[tuple[int, int], ...]
-
-
-class Lattice(_LatticeRows):
+class Lattice(NamedTuple):
     """Immutable finite lattice on indices 0..n-1 in linear-extension order.
 
     ``leq[i]`` is the bitmask of the up-set of i and ``geq[i]`` that of its
     down-set (the transpose); ``join_table`` and ``meet_table`` are n rows of
     n precomputed indices; ``covers`` is the transitive reduction as a sorted
     tuple of (lower, upper) pairs.  An instance holds exactly these six
-    fields: the subclass declares ``__slots__ = ()``, so it has no
-    ``__dict__`` and caches nothing.  Per-element covers come from
-    ``cover_masks(lat.n, lat.covers)``.
+    fields: a ``NamedTuple`` has no ``__dict__``, so it caches nothing.
+    Per-element covers come from ``cover_masks(lat.n, lat.covers)``.
     """
 
-    __slots__ = ()
+    n: int
+    leq: tuple[int, ...]
+    geq: tuple[int, ...]
+    join_table: tuple[bytes, ...]
+    meet_table: tuple[bytes, ...]
+    covers: tuple[tuple[int, int], ...]
 
     @property
     def full_mask(self) -> int:

@@ -97,18 +97,18 @@ def decompose_glued_sum(lat: Lattice) -> GluedDecomposition:
 
 
 class Classification(NamedTuple):
-    """Shape tag plus the witness decomposition and predicted count.
+    """Shape tag plus the predicted count and the chains around the core.
 
     ``prefix``/``suffix`` count the chain elements strictly below/above the
-    core block; they are zero for Chain and Other.  ``predicted_count`` is
-    2^n, 13*2^(n-4) or 23*2^(n-5) for the three named shapes, None for Other.
+    core block, which is the index range prefix..n-1-suffix; they are zero
+    for Chain and Other.  ``predicted_count`` is 2^n, 13*2^(n-4) or
+    23*2^(n-5) for the three named shapes, None for Other.
     """
 
     tag: str
     predicted_count: Optional[int]
     prefix: int = 0
     suffix: int = 0
-    core: Optional[Lattice] = None
 
 
 def classify(lat: Lattice) -> Classification:
@@ -117,7 +117,8 @@ def classify(lat: Lattice) -> Classification:
     A glued block has no cut strictly inside it, so the only such block on
     4 elements is B4, and the only ones on 5 elements are N5 (5 covers) and
     M3 (6 covers).  The shape is therefore read off the single block with
-    more than 2 elements: its element and cover counts.
+    more than 2 elements: its element and cover counts.  No lattice is
+    built.
     """
     n = lat.n
     cuts = glued_cuts(lat)
@@ -134,5 +135,4 @@ def classify(lat: Lattice) -> Classification:
         tag, count = GLUED_N5, 23 << (n - 5)
     else:
         return Classification(OTHER, None)
-    core = sublattice(lat, mask_of(range(lo, hi + 1)))
-    return Classification(tag, count, prefix=lo, suffix=n - 1 - hi, core=core)
+    return Classification(tag, count, prefix=lo, suffix=n - 1 - hi)

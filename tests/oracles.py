@@ -108,6 +108,27 @@ def trace_count(lat: Lattice, subset: int | Iterable[int]) -> int:
     return len({m & h for m in enumerate_subuniverses(lat)})
 
 
+def is_congruence(lat: Lattice, blocks: Iterable[Iterable[int]]) -> bool:
+    """Whether ``blocks`` partition the elements and every two elements of
+    a block have joins and meets with each z in one block."""
+    block_of: dict[int, int] = {}
+    for k, block in enumerate(blocks):
+        for x in block:
+            if not 0 <= x < lat.n or x in block_of:
+                return False
+            block_of[x] = k
+    if len(block_of) != lat.n:
+        return False
+    return all(
+        block_of[lat.join(a, z)] == block_of[lat.join(b, z)]
+        and block_of[lat.meet(a, z)] == block_of[lat.meet(b, z)]
+        for a in range(lat.n)
+        for b in range(lat.n)
+        if block_of[a] == block_of[b]
+        for z in range(lat.n)
+    )
+
+
 def record_from_json_line(line: str) -> CensusRecord:
     """The census record a JSONL line was written from."""
     d = json.loads(line)
@@ -297,22 +318,21 @@ def canonical_form_bruteforce(lat: Lattice) -> bytes:
 
 def classify_by_canonical_form(lat: Lattice) -> tuple:
     """``structure.classify`` as first written, as (tag, predicted_count,
-    prefix, suffix, core): the cuts are the elements comparable to every
-    element, and a single block with more than 2 elements is matched against
-    B4 and N5 by canonical form, whatever its size."""
+    prefix, suffix): the cuts are the elements comparable to every element,
+    and a single block with more than 2 elements is matched against B4 and
+    N5 by canonical form, whatever its size."""
     n = lat.n
     cuts = [x for x in range(n) if all(lat.le(x, y) or lat.le(y, x) for y in range(n))]
     if len(cuts) == n:
-        return "Chain", 1 << n, 0, 0, None
+        return "Chain", 1 << n, 0, 0
     big = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
     if len(big) == 1:
         lo, hi = big[0]
-        core = sublattice(lat, mask_of(range(lo, hi + 1)))
-        form = canonical_form(core)
+        form = canonical_form(sublattice(lat, mask_of(range(lo, hi + 1))))
         for tag, name, count in (("GluedB4", "B4", 13 << n >> 4), ("GluedN5", "N5", 23 << n >> 5)):
             if form == canonical_form(named(name)):
-                return tag, count, lo, n - 1 - hi, core
-    return "Other", None, 0, 0, None
+                return tag, count, lo, n - 1 - hi
+    return "Other", None, 0, 0
 
 
 def find_antichain_bruteforce(lat: Lattice, k: int) -> tuple[int, ...] | None:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import latcensus
@@ -150,7 +151,7 @@ PUBLIC_NAMES = [
     "chain", "classify", "congruence", "core", "count_congruences", "count_congruences_naive",
     "count_subuniverses", "count_subuniverses_naive", "decompose_glued_sum", "direct_product",
     "doubly_irreducibles", "enumerate_lattices", "enumerate_subuniverses", "find_antichain",
-    "from_covers", "glued_cuts", "glued_sum", "is_chain", "is_congruence", "is_subuniverse",
+    "from_covers", "glued_cuts", "glued_sum", "is_chain", "is_subuniverse",
     "isolated_edges", "isolated_elements", "join_irreducible_congruences", "mask_of", "named",
     "principal_congruence", "run_checks", "spectrum", "structure", "sublattice",
     "subuniverse", "verify", "verify_antichain_bound", "verify_congruence_spectrum",
@@ -171,6 +172,52 @@ def test_package_exports_are_pinned_and_resolve():
     assert latcensus.census_records is latcensus.census.census_records
     assert latcensus.canonical_form is latcensus.canon.canonical_form
     assert not hasattr(latcensus, "no_such_name")
+
+
+def _uses_outside_own_definition(tree):
+    """Every identifier a module reads, imports or looks up as an attribute,
+    or spells as a whole string constant (as the tracer's targets do),
+    outside the top-level statement that defines that identifier."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            defined = {stmt.name}
+        else:
+            defined = {
+                node.id for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            }
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rsplit(".", 1)[-1]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            if name not in defined:
+                yield name
+
+
+def test_every_export_is_used_outside_tests():
+    """Each function, class and constant in ``latcensus.__all__`` is used by
+    a package module other than ``__init__.py``, outside its own
+    definition, or by the benchmark; a name only the tests use belongs in
+    ``tests/oracles.py``."""
+    files = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    files += LATBENCH.glob("*.py")
+    used = {
+        name for path in files
+        for name in _uses_outside_own_definition(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    exported = [
+        name for name in latcensus.__all__
+        if not isinstance(getattr(latcensus, name), types.ModuleType)
+    ]
+    assert len(exported) > 50
+    assert [name for name in exported if name not in used] == []
 
 
 def test_congruence_counts_have_one_source():

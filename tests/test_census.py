@@ -1,13 +1,14 @@
 import concurrent.futures
 import gc
 import hashlib
+import itertools
 import os
 import random
 
 import pytest
 
 from latcensus import canon as canon_mod
-from latcensus.canon import canonical_form, canonical_lattice
+from latcensus.canon import _arrangements, canonical_form, canonical_lattice
 from latcensus.census import (
     _analyze,
     _augmentations,
@@ -246,6 +247,38 @@ def test_canonical_form_matches_bruteforce_on_twin_heavy_relabelings(name):
     for _ in range(10):
         relabeled = random_relabeling(lat, rng)
         assert canonical_form(relabeled) == canonical_form_bruteforce(relabeled) == form
+
+
+def _group_layouts(most_groups, most_members):
+    """Every list of 1..most_groups group sizes, each at least 1, that sum
+    to at most most_members."""
+    layouts = [[]]
+    for sizes in layouts:
+        if len(sizes) < most_groups:
+            layouts += [sizes + [k] for k in range(1, most_members - sum(sizes) + 1)]
+    return layouts[1:]
+
+
+def test_arrangements_are_the_order_keeping_permutations_of_every_small_layout():
+    """For every layout of up to 3 groups with up to 7 members in all, the
+    arrangements are, once each, the permutations of the members that keep
+    every group in its index order."""
+    layouts = _group_layouts(3, 7)
+    assert len(layouts) == 7 + 21 + 35
+    for sizes in layouts:
+        # interleaved member labels, so no group is a run of consecutive ones
+        labels = random.Random(repr(sizes)).sample(range(20), sum(sizes))
+        groups, start = [], 0
+        for k in sizes:
+            groups.append(sorted(labels[start : start + k]))
+            start += k
+        got = [tuple(order) for order in _arrangements(groups)]
+        expected = {
+            order for order in itertools.permutations(labels)
+            if all([x for x in order if x in g] == g for g in groups)
+        }
+        assert len(got) == len(set(got)), sizes
+        assert set(got) == expected, sizes
 
 
 def test_canonical_form_size_limit():

@@ -100,6 +100,36 @@ def test_classify_output(capsys):
     assert payload["chain_prefix"] == 1 and payload["chain_suffix"] == 1
 
 
+# ``classify`` bytes as the version that built each core block wrote them
+CLASSIFY_BYTES = {
+    "C2+B4+C3": """{
+  "n": 7,
+  "class": "GluedB4",
+  "predicted_count": 104,
+  "chain_prefix": 1,
+  "chain_suffix": 2,
+  "core_size": 4,
+  "normalized": "26*2^(7-5)"
+}
+""",
+    "C1+N5+C2": """{
+  "n": 6,
+  "class": "GluedN5",
+  "predicted_count": 46,
+  "chain_prefix": 0,
+  "chain_suffix": 1,
+  "core_size": 5,
+  "normalized": "23*2^(6-5)"
+}
+""",
+}
+
+
+@pytest.mark.parametrize("expr", sorted(CLASSIFY_BYTES))
+def test_classify_bytes_are_pinned(capsys, expr):
+    assert run(capsys, "classify", "--expr", expr) == (0, CLASSIFY_BYTES[expr], "")
+
+
 def test_classify_and_info_on_large_core(capsys):
     # a 14-element core can be neither B4 nor N5, so it is never canonicalized
     payload = run_json(capsys, "classify", "--expr", "C2xC7")

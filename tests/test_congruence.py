@@ -10,7 +10,6 @@ from latcensus.congruence import (
     _dependency_rows,
     count_congruences,
     count_congruences_naive,
-    is_congruence,
     join_irreducible_congruences,
     principal_congruence,
 )
@@ -27,7 +26,7 @@ from latcensus.core import (
 )
 from latcensus.structure import CHAIN, GLUED_B4, GLUED_N5
 from latcensus.verify import spectrum, verify_congruence_spectrum
-from oracles import con_count_by_closures, diamond, dual, record_lattice
+from oracles import con_count_by_closures, diamond, dual, is_congruence, record_lattice
 from strategies import closure_lattices, lattice_expressions
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from latcensus import core as core_mod
 from latcensus.canon import canonical_form
 from latcensus.core import SizeLimit, build_expression, chain, glued_sum, named
 from latcensus.structure import (
@@ -181,15 +182,34 @@ def test_classify_witness_decomposition():
     cls = classify(build_expression("C3+B4+C2"))
     assert cls.tag == GLUED_B4
     assert (cls.prefix, cls.suffix) == (2, 1)
-    assert cls.core is not None and cls.core.n == 4
+    assert cls._fields == ("tag", "predicted_count", "prefix", "suffix")
     chain_cls = classify(chain(6))
-    assert (chain_cls.prefix, chain_cls.suffix) == (0, 0) and chain_cls.core is None
+    assert (chain_cls.prefix, chain_cls.suffix) == (0, 0)
 
 
 def _assert_classify_matches_oracle(lat):
     cls = classify(lat)
-    got = (cls.tag, cls.predicted_count, cls.prefix, cls.suffix, cls.core)
+    got = (cls.tag, cls.predicted_count, cls.prefix, cls.suffix)
     assert got == classify_by_canonical_form(lat), lat
+
+
+def test_classify_builds_no_lattice(census, monkeypatch):
+    """With ``core._finish``, behind ``from_covers`` and ``sublattice``, patched to
+    raise, ``classify`` still answers every class with n <= 8 and two
+    glued sums, and agrees with the oracle computed before the patch."""
+    lattices = [record_lattice(rec) for n in range(1, 9) for rec in census(n)]
+    lattices += [build_expression("C2+B4+C3"), build_expression("C1+N5+C2")]
+    expected = [classify_by_canonical_form(lat) for lat in lattices]
+
+    def refuse(*args):
+        raise RuntimeError("classify built a lattice")
+
+    monkeypatch.setattr(core_mod, "_finish", refuse)
+    with pytest.raises(RuntimeError):
+        core_mod.sublattice(named("B4"), 0b1111)  # the patch is the one builds reach
+    for lat, want in zip(lattices, expected):
+        cls = classify(lat)
+        assert (cls.tag, cls.predicted_count, cls.prefix, cls.suffix) == want, lat
 
 
 @pytest.mark.parametrize("n", range(1, 10))
